@@ -15,7 +15,8 @@
 // With -wal-dir the server is durable: every mutation is written to a
 // segmented write-ahead log and fsynced before its acknowledgment or
 // chain relay leaves the process — one group-commit fsync covers a
-// whole drained batch per shard (-fsync-delay widens the window).
+// whole drained batch per shard, and the next batch is whatever queued
+// while that fsync ran (self-clocked: no window to tune).
 // Kill the process (kill -9 included) and restart it with the same
 // -wal-dir and it recovers its shards from the newest checkpoints plus
 // the WAL tails — no acknowledged write is lost. Each shard logs into
@@ -68,8 +69,6 @@ func main() {
 		"force one-datagram-per-syscall IO even where recvmmsg/sendmmsg is available")
 	walDir := flag.String("wal-dir", "",
 		"directory for the write-ahead log and checkpoints (empty = volatile, in-memory only)")
-	fsyncDelay := flag.Duration("fsync-delay", 0,
-		"group-commit fsync window: mutations arriving within it share one fsync (0 = default 20µs)")
 	segmentBytes := flag.Int("segment-bytes", 0,
 		"WAL segment roll threshold in bytes (0 = default)")
 	checkpointBytes := flag.Int("checkpoint-bytes", 0,
@@ -112,7 +111,6 @@ func main() {
 		}
 		replayed, err := srv.EnableDurabilityBackends(bes, store.DurabilityConfig{
 			Enabled:         true,
-			FsyncDelay:      *fsyncDelay,
 			SegmentBytes:    *segmentBytes,
 			CheckpointBytes: *checkpointBytes,
 		})

@@ -151,10 +151,11 @@ type Config struct {
 	// (zero keeps the protocol default).
 	FlushWindow time.Duration
 
-	// FsyncDelay is the store's group-commit window when durability is
-	// enabled: updates logged within it share one fsync, and their
-	// outputs are held until that fsync completes (zero keeps the
-	// durability default).
+	// FsyncDelay is the simulated store's virtual fsync latency when
+	// durability is enabled: updates logged within it share one fsync,
+	// and their outputs are held until that fsync completes (zero keeps
+	// the durability default). Simulator-only: the real-UDP store's
+	// commit groups are clocked by its device, not by a window.
 	FsyncDelay time.Duration
 }
 

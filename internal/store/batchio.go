@@ -2,6 +2,7 @@ package store
 
 import (
 	"net"
+	"net/netip"
 )
 
 // udpBufSize is the receive-slot capacity: a full UDP datagram.
@@ -12,9 +13,9 @@ const udpBufSize = 65536
 // point it replaces buf from the pool — the slots themselves persist
 // across ReadBatch calls.
 type rxSlot struct {
-	buf  []byte // capacity udpBufSize; ReadBatch fills buf[:n]
+	buf  *[]byte // pool handle, len udpBufSize; ReadBatch fills (*buf)[:n]
 	n    int
-	addr *net.UDPAddr // datagram source
+	addr netip.AddrPort // datagram source, v4-in-v6 unmapped
 }
 
 // txSlot is one outgoing datagram: a marshaled payload and its
@@ -45,12 +46,12 @@ type batchWriter interface {
 type loopReader struct{ conn *net.UDPConn }
 
 func (r *loopReader) ReadBatch(slots []rxSlot) (int, error) {
-	n, addr, err := r.conn.ReadFromUDP(slots[0].buf)
+	n, addr, err := r.conn.ReadFromUDPAddrPort(*slots[0].buf)
 	if err != nil {
 		return 0, err
 	}
 	slots[0].n = n
-	slots[0].addr = addr
+	slots[0].addr = netip.AddrPortFrom(addr.Addr().Unmap(), addr.Port())
 	return 1, nil
 }
 

@@ -22,11 +22,12 @@ type DurabilityConfig struct {
 	// restarts lose everything.
 	Enabled bool
 
-	// FsyncDelay is the group-commit window: mutations logged within it
-	// share one fsync, and their outputs (chain forwards, switch acks)
-	// are held until that fsync completes. In the simulator the delay
-	// elapses in virtual time; the real-UDP server syncs synchronously
-	// and ignores it. Zero means DefaultFsyncDelay.
+	// FsyncDelay is the simulator's virtual device latency: mutations
+	// logged within it share one fsync, and their outputs (chain
+	// forwards, switch acks) are held until that fsync completes in
+	// virtual time. Simulator-only — the real-UDP server syncs
+	// synchronously and ignores it (its commit groups are self-clocked
+	// by the device). Zero means DefaultFsyncDelay.
 	FsyncDelay time.Duration
 
 	// SegmentBytes is the WAL segment roll threshold (zero =
@@ -111,11 +112,6 @@ func (d *Durability) WALBytes() uint64 { return d.wal.Bytes() }
 
 // StagedRecords reports appends not yet covered by a Sync.
 func (d *Durability) StagedRecords() int { return d.wal.StagedRecords() }
-
-// GroupWindow returns the effective group-commit window (FsyncDelay
-// after defaulting): how long a caller may linger collecting more
-// mutations before a Sync, so they share the fsync.
-func (d *Durability) GroupWindow() time.Duration { return d.cfg.FsyncDelay }
 
 // DiscardStaged models a crash that loses the process's memory before
 // the covering fsync: staged records were never durable.

@@ -63,7 +63,8 @@ func TestBatchIOByteEquivalence(t *testing.T) {
 				dst.SetReadDeadline(time.Now().Add(10 * time.Second))
 				rx := make([]rxSlot, 32)
 				for i := range rx {
-					rx[i].buf = make([]byte, udpBufSize)
+					b := make([]byte, udpBufSize)
+					rx[i].buf = &b
 				}
 				got := make([]string, 0, dgrams)
 				srcPort := src.LocalAddr().(*net.UDPAddr).Port
@@ -73,9 +74,9 @@ func TestBatchIOByteEquivalence(t *testing.T) {
 						t.Fatalf("ReadBatch after %d/%d dgrams: %v", len(got), dgrams, err)
 					}
 					for i := 0; i < n; i++ {
-						got = append(got, string(rx[i].buf[:rx[i].n]))
-						if rx[i].addr.Port != srcPort {
-							t.Fatalf("datagram %d: source port %d, want %d", i, rx[i].addr.Port, srcPort)
+						got = append(got, string((*rx[i].buf)[:rx[i].n]))
+						if int(rx[i].addr.Port()) != srcPort {
+							t.Fatalf("datagram %d: source port %d, want %d", i, rx[i].addr.Port(), srcPort)
 						}
 					}
 				}

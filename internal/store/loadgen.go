@@ -346,7 +346,8 @@ func newSweepSender(dst *net.UDPAddr, flows []*sweepFlow, cfg SweepConfig) (*swe
 func (sn *sweepSender) readAcks() {
 	slots := make([]rxSlot, sn.cfg.SyscallBatch)
 	for i := range slots {
-		slots[i].buf = make([]byte, udpBufSize)
+		b := make([]byte, udpBufSize)
+		slots[i].buf = &b
 	}
 	var bt wire.Batch
 	for {
@@ -356,7 +357,7 @@ func (sn *sweepSender) readAcks() {
 		}
 		sn.recvDgrams.Add(uint64(n))
 		for i := 0; i < n; i++ {
-			b := slots[i].buf[:slots[i].n]
+			b := (*slots[i].buf)[:slots[i].n]
 			if wire.IsBatch(b) {
 				if bt.Unmarshal(b) != nil {
 					continue

@@ -13,6 +13,7 @@ package store
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"syscall"
 	"unsafe"
 )
@@ -53,8 +54,8 @@ func (r *mmsgReader) ReadBatch(slots []rxSlot) (int, error) {
 		r.names = make([]syscall.RawSockaddrAny, len(slots))
 	}
 	for i := range slots {
-		r.iovs[i].Base = &slots[i].buf[0]
-		r.iovs[i].SetLen(len(slots[i].buf))
+		r.iovs[i].Base = &(*slots[i].buf)[0]
+		r.iovs[i].SetLen(len(*slots[i].buf))
 		r.hdrs[i].Hdr.Name = (*byte)(unsafe.Pointer(&r.names[i]))
 		r.hdrs[i].Hdr.Namelen = uint32(unsafe.Sizeof(r.names[i]))
 		r.hdrs[i].Hdr.Iov = &r.iovs[i]
@@ -81,7 +82,7 @@ func (r *mmsgReader) ReadBatch(slots []rxSlot) (int, error) {
 	}
 	for i := 0; i < n; i++ {
 		slots[i].n = int(r.hdrs[i].Len)
-		slots[i].addr = sockaddrToUDP(&r.names[i])
+		slots[i].addr = sockaddrToAddrPort(&r.names[i])
 	}
 	return n, nil
 }
@@ -174,25 +175,18 @@ func (w *mmsgWriter) sockaddr(dst *net.UDPAddr, i int) (*byte, uint32, error) {
 // (whose declared Go type is host-order uint16).
 func htons(p int) uint16 { return uint16(p>>8) | uint16(p&0xff)<<8 }
 
-// sockaddrToUDP decodes a received sockaddr into a *net.UDPAddr,
+// sockaddrToAddrPort decodes a received sockaddr without allocating,
 // unmapping v4-in-v6 so downstream relay prefixes stay 4-byte.
-func sockaddrToUDP(rsa *syscall.RawSockaddrAny) *net.UDPAddr {
+func sockaddrToAddrPort(rsa *syscall.RawSockaddrAny) netip.AddrPort {
 	switch rsa.Addr.Family {
 	case syscall.AF_INET:
 		sa := (*syscall.RawSockaddrInet4)(unsafe.Pointer(rsa))
-		ip := make(net.IP, 4)
-		copy(ip, sa.Addr[:])
-		return &net.UDPAddr{IP: ip, Port: int(htons16(sa.Port))}
+		return netip.AddrPortFrom(netip.AddrFrom4(sa.Addr), htons16(sa.Port))
 	case syscall.AF_INET6:
 		sa := (*syscall.RawSockaddrInet6)(unsafe.Pointer(rsa))
-		ip := make(net.IP, 16)
-		copy(ip, sa.Addr[:])
-		if v4 := ip.To4(); v4 != nil {
-			ip = v4
-		}
-		return &net.UDPAddr{IP: ip, Port: int(htons16(sa.Port))}
+		return netip.AddrPortFrom(netip.AddrFrom16(sa.Addr).Unmap(), htons16(sa.Port))
 	}
-	return &net.UDPAddr{}
+	return netip.AddrPort{}
 }
 
 func htons16(p uint16) uint16 { return p>>8 | p<<8 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,6 +80,11 @@ const leaseFlushTick = 50 * time.Millisecond
 // maxDrainBurst bounds the datagrams a shard processes per group
 // commit, so acknowledgments are not starved under sustained ingress.
 const maxDrainBurst = 256
+
+// maxInternAddrs bounds a receiver's address intern table. Datagram
+// sources are outside input, so the table is reset rather than grown
+// once it holds this many peers.
+const maxInternAddrs = 1024
 
 // UDPOptions sizes the sharded server. The zero value of each field
 // selects its default.
@@ -236,6 +242,7 @@ func NewUDPServer(addr, nextAddr string, cfg Config, opts ...UDPOption) (*UDPSer
 			sheds:      ns.Counter("sheds"),
 			replies:    ns.Counter("replies"),
 			relays:     ns.Counter("relays"),
+			commits:    ns.Counter("commits"),
 		}
 		_, sh.tx.bw, s.ioName = newIO()
 		for r := range sh.rings {
@@ -247,7 +254,12 @@ func NewUDPServer(addr, nextAddr string, cfg Config, opts ...UDPOption) (*UDPSer
 	s.recvs = make([]*udpReceiver, opt.Receivers)
 	for i := range s.recvs {
 		rbr, _, _ := newIO()
-		rx := &udpReceiver{srv: s, idx: i, br: rbr, slots: make([]rxSlot, opt.RxBatch)}
+		rx := &udpReceiver{
+			srv: s, idx: i, br: rbr,
+			slots:   make([]rxSlot, opt.RxBatch),
+			addrs:   make(map[netip.AddrPort]*net.UDPAddr),
+			touched: make([]bool, opt.Shards),
+		}
 		for j := range rx.slots {
 			rx.slots[j].buf = s.getBuf()
 		}
@@ -256,14 +268,11 @@ func NewUDPServer(addr, nextAddr string, cfg Config, opts ...UDPOption) (*UDPSer
 	return s, nil
 }
 
-func (s *UDPServer) getBuf() []byte { return *(s.pool.Get().(*[]byte)) }
-func (s *UDPServer) putBuf(b []byte) {
-	if b == nil {
-		return
-	}
-	b = b[:cap(b)]
-	s.pool.Put(&b)
-}
+// getBuf and putBuf move the pool's own *[]byte handle, so recycling a
+// buffer never re-boxes its slice header. *b keeps len == cap; users
+// slice it, never assign through it.
+func (s *UDPServer) getBuf() *[]byte  { return s.pool.Get().(*[]byte) }
+func (s *UDPServer) putBuf(b *[]byte) { s.pool.Put(b) }
 
 // shardFor routes a flow key to its owning shard. Receivers and the
 // client-side sweep both use it, so a flow's datagrams always land on
@@ -377,7 +386,10 @@ type UDPStats struct {
 // UDPShardStats is one shard's slice of the counters.
 type UDPShardStats struct {
 	Dgrams, Sheds, Replies, Relays uint64
-	QueueDepth, QueueHigh          int64
+	// Commits counts group commits that released at least one relay or
+	// acknowledgment; Dgrams / Commits is the mean commit-group size.
+	Commits               uint64
+	QueueDepth, QueueHigh int64
 }
 
 // Stats snapshots the server's observability counters.
@@ -391,6 +403,7 @@ func (s *UDPServer) Stats() UDPStats {
 		ps := UDPShardStats{
 			Dgrams: sh.dgrams.Value(), Sheds: sh.sheds.Value(),
 			Replies: sh.replies.Value(), Relays: sh.relays.Value(),
+			Commits:    sh.commits.Value(),
 			QueueDepth: sh.queueDepth.Value(), QueueHigh: sh.queueDepth.High(),
 		}
 		st.TxBatches += sh.tx.txBatches.Value()
@@ -442,10 +455,10 @@ func (s *UDPServer) Serve() error {
 // the raw payload (single-message or batch framing, relay prefix
 // stripped) plus, for batches, the already-decoded members.
 type dgram struct {
-	base    *[]byte         // pooled backing buffer to recycle (nil = none)
+	base    *[]byte         // pooled backing buffer to recycle
 	payload []byte          // wire payload; relayed down the chain verbatim
 	msgs    []*wire.Message // decoded batch members; nil ⇒ payload is one message
-	origin  *net.UDPAddr    // original requester
+	origin  *net.UDPAddr    // original requester (interned: shared, never mutated)
 	relayed bool            // arrived via a chain relay (predecessor, not switch)
 }
 
@@ -457,6 +470,13 @@ type udpReceiver struct {
 	slots  []rxSlot
 	group  []splitGroup // per-shard split-batch scratch
 	frames [][]byte     // member-frame scratch (spans of the rx buffer)
+
+	// addrs interns datagram sources and relay origins: the same few
+	// peers send almost every datagram, so each gets one *net.UDPAddr
+	// shared by sh.addrs, pendingReply and pendingRelay. Never mutate one.
+	addrs map[netip.AddrPort]*net.UDPAddr
+	// touched marks the shards the current rx batch pushed work to.
+	touched []bool
 }
 
 // splitGroup collects one shard's members of a spanning batch: the
@@ -483,10 +503,39 @@ func (r *udpReceiver) run(errCh chan<- error) {
 		}
 		s.rxBatches.Inc()
 		s.rxDgrams.Add(uint64(n))
+		// Route the whole batch, then wake each touched shard once: a
+		// commit group is never smaller than what one syscall delivered
+		// for that shard.
 		for i := 0; i < n; i++ {
 			r.route(&r.slots[i])
 		}
+		for si, t := range r.touched {
+			if !t {
+				continue
+			}
+			r.touched[si] = false
+			sh := s.shards[si]
+			sh.queueDepth.Set(int64(sh.ringLen()))
+			select {
+			case sh.wake <- struct{}{}:
+			default:
+			}
+		}
 	}
+}
+
+// intern returns the shared *net.UDPAddr for ap, allocating only the
+// first time a peer is seen (and again after a reset).
+func (r *udpReceiver) intern(ap netip.AddrPort) *net.UDPAddr {
+	if a, ok := r.addrs[ap]; ok {
+		return a
+	}
+	if len(r.addrs) >= maxInternAddrs {
+		clear(r.addrs)
+	}
+	a := net.UDPAddrFromAddrPort(ap)
+	r.addrs[ap] = a
+	return a
 }
 
 // route hands one received datagram to its owning shard. Single-message
@@ -495,15 +544,13 @@ func (r *udpReceiver) run(errCh chan<- error) {
 // per shard when their members span several.
 func (r *udpReceiver) route(sl *rxSlot) {
 	s := r.srv
-	b := sl.buf[:sl.n]
-	origin := sl.addr
+	b := (*sl.buf)[:sl.n]
+	src := sl.addr
 	payload := b
 	relayed := false
 	if len(b) > relayHdrLen && b[0] == relayMagic {
 		// Chain relay: recover the original requester's address.
-		ip := make(net.IP, 4)
-		copy(ip, b[1:5])
-		origin = &net.UDPAddr{IP: ip, Port: int(binary.BigEndian.Uint16(b[5:7]))}
+		src = netip.AddrPortFrom(netip.AddrFrom4([4]byte(b[1:5])), binary.BigEndian.Uint16(b[5:7]))
 		payload = b[relayHdrLen:]
 		relayed = true
 		s.relaySeen.Store(true)
@@ -518,6 +565,7 @@ func (r *udpReceiver) route(sl *rxSlot) {
 		if len(bt.Msgs) == 0 {
 			return
 		}
+		origin := r.intern(src)
 		target := s.shardFor(bt.Msgs[0].Key)
 		same := true
 		for _, m := range bt.Msgs[1:] {
@@ -527,8 +575,7 @@ func (r *udpReceiver) route(sl *rxSlot) {
 			}
 		}
 		if same {
-			buf := sl.buf
-			r.deliver(target, dgram{base: &buf, payload: payload, msgs: bt.Msgs, origin: origin, relayed: relayed})
+			r.deliver(target, dgram{base: sl.buf, payload: payload, msgs: bt.Msgs, origin: origin, relayed: relayed})
 			sl.buf = s.getBuf() // ownership moved to the ring
 			return
 		}
@@ -558,8 +605,8 @@ func (r *udpReceiver) route(sl *rxSlot) {
 				continue
 			}
 			nb := s.getBuf()
-			pb := wire.AppendBatchFrames(nb[:0], g.frames...)
-			r.deliver(si, dgram{base: &nb, payload: pb, msgs: g.msgs, origin: origin, relayed: relayed})
+			pb := wire.AppendBatchFrames((*nb)[:0], g.frames...)
+			r.deliver(si, dgram{base: nb, payload: pb, msgs: g.msgs, origin: origin, relayed: relayed})
 			// The msgs slice moved to the shard; the frame spans die with
 			// this datagram and their backing array is reused.
 			g.msgs, g.frames = nil, g.frames[:0]
@@ -572,23 +619,20 @@ func (r *udpReceiver) route(sl *rxSlot) {
 		log.Printf("store: bad datagram from %v (%d bytes)", sl.addr, len(payload))
 		return
 	}
-	buf := sl.buf
-	r.deliver(s.shardFor(key), dgram{base: &buf, payload: payload, origin: origin, relayed: relayed})
+	r.deliver(s.shardFor(key), dgram{base: sl.buf, payload: payload, origin: r.intern(src), relayed: relayed})
 	sl.buf = s.getBuf()
 }
 
+// deliver queues d on its shard's ring; run wakes the shard once the
+// whole rx batch is routed.
 func (r *udpReceiver) deliver(shard int, d dgram) {
 	sh := r.srv.shards[shard]
 	if !sh.rings[r.idx].Push(d) {
 		sh.sheds.Inc()
-		r.srv.putBuf(*d.base)
+		r.srv.putBuf(d.base)
 		return
 	}
-	sh.queueDepth.Set(int64(sh.ringLen()))
-	select {
-	case sh.wake <- struct{}{}:
-	default:
-	}
+	r.touched[shard] = true
 }
 
 // pendingReply is an acknowledgment datagram held until the covering
@@ -630,6 +674,7 @@ type udpShard struct {
 	sheds      *obs.Counter
 	replies    *obs.Counter
 	relays     *obs.Counter
+	commits    *obs.Counter
 }
 
 func (sh *udpShard) ringLen() int {
@@ -655,17 +700,19 @@ func (sh *udpShard) run() {
 	}
 }
 
-// drain services every queued datagram, group-committing at most every
-// maxDrainBurst: process a burst, fsync once for all its mutations,
-// then release the burst's relays and acknowledgments in one egress
-// batch.
+// drain services every queued datagram in self-clocked commit groups:
+// process until the rings are empty or CommitBurst is reached, fsync
+// once for the group's mutations, then release its relays and
+// acknowledgments in one egress batch. Nothing waits for more work — the
+// next group is whatever the receivers queued while this one was
+// applied, synced and sent, so groups grow with device latency on their
+// own and an idle shard adds none.
 func (sh *udpShard) drain() {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	commitBurst := sh.srv.opt.CommitBurst
 	for {
 		processed := 0
-	burst:
 		for _, r := range sh.rings {
 			for processed < commitBurst {
 				d, ok := r.Pop()
@@ -675,34 +722,10 @@ func (sh *udpShard) drain() {
 				sh.handle(d)
 				processed++
 			}
-			if processed >= commitBurst {
-				break burst
-			}
 		}
 		sh.queueDepth.Set(int64(sh.ringLen()))
 		if processed == 0 {
 			return
-		}
-		// Group-commit window: if mutations are staged and a fsync delay
-		// is configured, linger briefly so closely-following datagrams
-		// share the fsync. A CommitBurst of 1 means per-datagram commits
-		// (the pre-sharding behavior) — never linger.
-		if commitBurst > 1 && sh.dur != nil && sh.dur.StagedRecords() > 0 {
-			if w := sh.dur.GroupWindow(); w > 0 {
-				t := time.NewTimer(w)
-			linger:
-				for {
-					select {
-					case <-sh.wake:
-						if sh.ringLen() > 0 {
-							break linger // more work arrived; extend the burst
-						}
-					case <-t.C:
-						break linger
-					}
-				}
-				t.Stop()
-			}
 		}
 		sh.commit()
 	}
@@ -716,7 +739,7 @@ func (sh *udpShard) handle(d dgram) {
 	var ups []Update
 	if d.msgs != nil {
 		if !d.relayed && sh.srv.misrouted(d.msgs...) {
-			sh.srv.putBuf(*d.base)
+			sh.srv.putBuf(d.base)
 			return
 		}
 		for _, m := range d.msgs {
@@ -728,7 +751,7 @@ func (sh *udpShard) handle(d dgram) {
 		if err := m.Unmarshal(d.payload); err != nil {
 			sh.srv.badDgrams.Inc()
 			log.Printf("store: bad datagram from %v: %v", d.origin, err)
-			sh.srv.putBuf(*d.base)
+			sh.srv.putBuf(d.base)
 			return
 		}
 		if m.Type == wire.MsgHello {
@@ -737,11 +760,11 @@ func (sh *udpShard) handle(d dgram) {
 			sh.pendingOut = append(sh.pendingOut,
 				pendingReply{outs: []Output{{Msg: sh.srv.helloAck(m)}}, to: d.origin})
 			sh.dgrams.Inc()
-			sh.srv.putBuf(*d.base)
+			sh.srv.putBuf(d.base)
 			return
 		}
 		if !d.relayed && sh.srv.misrouted(m) {
-			sh.srv.putBuf(*d.base)
+			sh.srv.putBuf(d.base)
 			return
 		}
 		sh.addrs[m.SwitchID] = d.origin
@@ -757,7 +780,7 @@ func (sh *udpShard) handle(d dgram) {
 	if len(outs) > 0 {
 		sh.pendingOut = append(sh.pendingOut, pendingReply{outs: outs, to: d.origin})
 	}
-	sh.srv.putBuf(*d.base)
+	sh.srv.putBuf(d.base)
 }
 
 // commit makes the staged mutations durable (one fsync for the whole
@@ -772,10 +795,13 @@ func (sh *udpShard) commit() {
 			return
 		}
 	}
+	if len(sh.pendingRelay)+len(sh.pendingOut) > 0 {
+		sh.commits.Inc()
+	}
 	for i := range sh.pendingRelay {
 		pr := &sh.pendingRelay[i]
 		sh.stageRelay(pr.payload, pr.origin)
-		sh.srv.putBuf(*pr.base)
+		sh.srv.putBuf(pr.base)
 		pr.base = nil
 	}
 	sh.pendingRelay = sh.pendingRelay[:0]
@@ -793,7 +819,7 @@ func (sh *udpShard) commit() {
 // dropPending discards staged outputs after a failed sync.
 func (sh *udpShard) dropPending() {
 	for i := range sh.pendingRelay {
-		sh.srv.putBuf(*sh.pendingRelay[i].base)
+		sh.srv.putBuf(sh.pendingRelay[i].base)
 		sh.pendingRelay[i].base = nil
 	}
 	sh.pendingRelay = sh.pendingRelay[:0]

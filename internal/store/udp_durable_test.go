@@ -1,10 +1,12 @@
 package store
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"redplane/internal/durable"
+	"redplane/internal/packet"
 	"redplane/internal/wire"
 )
 
@@ -72,5 +74,163 @@ func TestUDPDurableRestartRecovers(t *testing.T) {
 	}
 	if got := srv2.Digest(); got != preCrash {
 		t.Fatalf("recovered digest %#x != pre-crash %#x", got, preCrash)
+	}
+}
+
+// gateBackend wraps a durable.Backend so a test can hold a shard inside
+// File.Sync: while armed, Sync announces itself on entered and blocks
+// until release is closed.
+type gateBackend struct {
+	durable.Backend
+	armed   atomic.Bool
+	entered chan struct{} // one token per Sync that found the gate armed
+	release chan struct{}
+}
+
+func (g *gateBackend) Create(name string) (durable.File, error) {
+	f, err := g.Backend.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return &gateFile{File: f, g: g}, nil
+}
+
+type gateFile struct {
+	durable.File
+	g *gateBackend
+}
+
+func (f *gateFile) Sync() error {
+	if f.g.armed.Load() {
+		f.g.entered <- struct{}{}
+		<-f.g.release
+	}
+	return f.File.Sync()
+}
+
+// TestUDPGroupCommitSelfClocked pins the group-commit rule on the
+// real-UDP path: a commit group is whatever queued while the previous
+// group was in fsync — nothing lingers for more, nothing escapes early.
+// One write parks the shard inside Sync; 50 more queue behind it; when
+// the device "completes", they share exactly one further fsync. Sent one
+// at a time against an instant device, every datagram is its own group.
+func TestUDPGroupCommitSelfClocked(t *testing.T) {
+	const flows = 51
+	cfg := Config{LeasePeriod: time.Minute}
+	mem := durable.NewMemBackend()
+	gate := &gateBackend{Backend: mem, entered: make(chan struct{}, 1), release: make(chan struct{})}
+
+	srv, err := NewUDPServer("127.0.0.1:0", "", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.EnableDurability(gate, DurabilityConfig{Enabled: true}); err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve() }()
+	fsyncs := srv.Obs().NS("store-shard0").Counter("fsyncs")
+
+	c, err := DialUDP(srv.Addr().String(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Timeout = 5 * time.Second // a retransmission would be a second datagram
+	key := func(i int) packet.FiveTuple {
+		k := udpKey()
+		k.SrcPort = uint16(1000 + i)
+		return k
+	}
+
+	// Instant device, one request at a time: each lease grant is its own
+	// commit group — no timer merges or delays them.
+	for i := 0; i < flows; i++ {
+		if _, err := c.Request(&wire.Message{Type: wire.MsgLeaseNew, Key: key(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := srv.Stats()
+	if ps := base.PerShard[0]; ps.Commits != flows || ps.Dgrams != flows || fsyncs.Value() != flows {
+		t.Fatalf("one-at-a-time: commits=%d dgrams=%d fsyncs=%d, want %d each",
+			ps.Commits, ps.Dgrams, fsyncs.Value(), flows)
+	}
+
+	send := func(i int) {
+		t.Helper()
+		m := wire.Message{Type: wire.MsgRepl, Key: key(i), Seq: 1, Vals: []uint64{uint64(100 + i)}, SwitchID: 1}
+		if _, err := c.conn.WriteToUDP(m.Marshal(nil), c.head); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gate.armed.Store(true)
+	send(0)
+	select {
+	case <-gate.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("shard never reached Sync for the first write")
+	}
+	gate.armed.Store(false) // only the first Sync is held
+	for i := 1; i < flows; i++ {
+		send(i)
+	}
+	// The receiver publishes the ring depth after routing each rx batch,
+	// so depth == 50 means every follower is queued behind the fsync.
+	for deadline := time.Now().Add(5 * time.Second); srv.Stats().PerShard[0].QueueDepth != flows-1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue depth %d, want %d", srv.Stats().PerShard[0].QueueDepth, flows-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := srv.Stats(); st.RxDgrams != base.RxDgrams+flows || st.TxDgrams != base.TxDgrams ||
+		st.PerShard[0].Commits != base.PerShard[0].Commits {
+		t.Fatalf("while in fsync: rx=%d tx=%d commits=%d (base rx=%d tx=%d commits=%d): an ack escaped",
+			st.RxDgrams, st.TxDgrams, st.PerShard[0].Commits,
+			base.RxDgrams, base.TxDgrams, base.PerShard[0].Commits)
+	}
+
+	close(gate.release)
+	acked := make(map[packet.FiveTuple]bool)
+	buf := make([]byte, 2048)
+	c.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for len(acked) < flows {
+		n, _, err := c.conn.ReadFromUDP(buf)
+		if err != nil {
+			t.Fatalf("after %d/%d acks: %v", len(acked), flows, err)
+		}
+		for _, a := range decodeAcks(buf[:n]) {
+			if a.Type != wire.MsgReplAck || a.Seq != 1 {
+				t.Fatalf("ack = %+v", a)
+			}
+			acked[a.Key] = true
+		}
+	}
+	st := srv.Stats()
+	if got := fsyncs.Value() - flows; got != 2 {
+		t.Errorf("fsyncs for 1 + %d queued writes = %d, want 2", flows-1, got)
+	}
+	if got := st.PerShard[0].Commits - base.PerShard[0].Commits; got != 2 {
+		t.Errorf("commit groups = %d, want 2", got)
+	}
+	if got := st.PerShard[0].Dgrams - base.PerShard[0].Dgrams; got != flows {
+		t.Errorf("dgrams = %d, want %d", got, flows)
+	}
+
+	srv.Close()
+	<-served
+	// Every acked watermark is in the log alone.
+	srv2, err := NewUDPServer("127.0.0.1:0", "", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	if _, err := srv2.EnableDurability(mem, DurabilityConfig{Enabled: true}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < flows; i++ {
+		vals, seq, ok := srv2.State(key(i))
+		if !ok || seq != 1 || len(vals) != 1 || vals[0] != uint64(100+i) {
+			t.Errorf("flow %d after reopen: vals=%v seq=%d ok=%v", i, vals, seq, ok)
+		}
 	}
 }

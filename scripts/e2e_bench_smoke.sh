@@ -1,0 +1,50 @@
+#!/bin/sh
+# e2e_bench_smoke.sh — guard against a timer returning to the real-UDP
+# commit path.
+#
+# Runs the repo benchmark's 3-replica chain twice for 3 s, volatile
+# (chain3-pkt) and with a WAL per replica (chain3-wal-pkt), requires
+# both to pass their output checks with no failed write, and fails
+# unless WAL goodput is at least 0.6x the volatile goodput of the same
+# job. The ratio is host-independent: the WAL itself is ~2 % of a write,
+# so a self-clocked group commit keeps it near 0.95, while any linger on
+# the commit path (Go's netpoller rounds an idle-P timer to ~1 ms)
+# drags it to ~0.28.
+#
+# Usage:
+#   scripts/e2e_bench_smoke.sh
+set -eu
+cd "$(dirname "$0")/.."
+
+out=$(mktemp -d)
+trap 'rm -rf "$out"' EXIT
+
+# run prints the goodput_wps of one workload after checking its verdict.
+run() {
+    last=$(go run ./bench/e2e -workload "$1" -seconds 3 -out "$out" | tail -n 1)
+    case "$last" in
+    '{"correct":true,'*'"failed":0,'*) ;;
+    *)
+        echo "FAIL: $1 did not finish correct with failed=0: $last" >&2
+        exit 1
+        ;;
+    esac
+    echo "$last" | sed -n 's/.*"goodput_wps":{"value":\([0-9.e+]*\).*/\1/p'
+}
+
+echo "== chain3-pkt (volatile) =="
+vol=$(run chain3-pkt)
+echo "goodput_wps $vol"
+echo "== chain3-wal-pkt (WAL per replica) =="
+wal=$(run chain3-wal-pkt)
+echo "goodput_wps $wal"
+
+awk -v w="$wal" -v v="$vol" 'BEGIN {
+    r = w / v
+    printf "WAL/volatile goodput ratio %.2f (floor 0.60)\n", r
+    exit !(r >= 0.6)
+}' || {
+    echo "FAIL: durable chain goodput fell below 0.6x volatile — is something waiting on the commit path?" >&2
+    exit 1
+}
+echo "OK"

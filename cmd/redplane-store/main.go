@@ -11,6 +11,8 @@
 // per core) fed by batched recvmmsg reads, and egresses through
 // per-shard sendmmsg batches; -rx-batch/-tx-batch size the syscall
 // batches (see DESIGN.md "Per-core sharding on the real-UDP path").
+// Every member of one chain must run the same -shards: a commit goes to
+// the same-numbered shard of the successor. Pin it when hosts differ.
 //
 // With -wal-dir the server is durable: every mutation is written to a
 // segmented write-ahead log and fsynced before its acknowledgment or
@@ -61,7 +63,7 @@ func main() {
 	snapshotSlots := flag.Int("snapshot-slots", 0, "expected snapshot image size (0 = untracked)")
 	maxWaiting := flag.Int("max-waiting", 0,
 		"per-flow buffered lease-request queue bound (0 = default)")
-	shards := flag.Int("shards", 0, "shard-owner goroutines; flows hash to shards (0 = one per core)")
+	shards := flag.Int("shards", 0, "shard-owner goroutines; flows hash to shards (0 = one per core); must be equal across a chain")
 	rxBatch := flag.Int("rx-batch", 0, "datagrams per batched receive syscall (0 = default 32)")
 	txBatch := flag.Int("tx-batch", 0, "datagrams per batched send syscall (0 = default 32)")
 	ringSize := flag.Int("ring", 0, "receiver→shard queue capacity (0 = default 1024)")

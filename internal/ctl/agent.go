@@ -128,6 +128,9 @@ func (a *StoreAgent) session() error {
 func (a *StoreAgent) handle(cmd *Envelope) *Envelope {
 	switch cmd.Op {
 	case OpWelcome:
+		if cmd.Err != "" {
+			log.Printf("ctl agent %s: daemon refused registration: %s", a.name, cmd.Err)
+		}
 		return &Envelope{}
 	case OpPing:
 		reg := a.srv.Obs()

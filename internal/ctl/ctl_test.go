@@ -2,6 +2,7 @@ package ctl
 
 import (
 	"io"
+	"net"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -361,5 +362,44 @@ func TestAuthTokenGatesRegistration(t *testing.T) {
 	}
 	if r.Heads[0] != srv.Addr().String() {
 		t.Fatalf("routing head = %q, want %s", r.Heads[0], srv.Addr())
+	}
+}
+
+// TestDaemonRefusesShardCountMismatch pins the chain invariant chain
+// frames rely on: a store whose shard count differs from its chain's
+// seated members is not seated, and the welcome says why.
+func TestDaemonRefusesShardCountMismatch(t *testing.T) {
+	d := startDaemon(t, [][]string{{"s0", "s1"}, {"t0"}})
+	startMember(t, d.Addr().String(), "s0") // one shard
+	waitView(t, d, 0, "s0")
+
+	register := func(name string, shards int) *Envelope {
+		t.Helper()
+		nc, err := net.Dial("tcp", d.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { nc.Close() })
+		cn := newConn(nc)
+		if err := cn.send(&Envelope{Op: OpRegister, Role: "store", Name: name,
+			Data: "127.0.0.1:1", Shards: shards}); err != nil {
+			t.Fatal(err)
+		}
+		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		w, err := cn.recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	if w := register("s1", 2); !strings.Contains(w.Err, "2 shards") || !strings.Contains(w.Err, "s0 runs 1") {
+		t.Fatalf("mismatched s1 welcomed with Err=%q", w.Err)
+	}
+	if got := d.CurrentStatus().Chains[0].View; len(got) != 1 || got[0] != "s0" {
+		t.Fatalf("chain 0 view = %v after the rejected register, want [s0]", got)
+	}
+	// Another chain is another invariant: a different count there is fine.
+	if w := register("t0", 2); w.Err != "" {
+		t.Fatalf("t0 (own chain) refused: %s", w.Err)
 	}
 }

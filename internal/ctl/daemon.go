@@ -281,6 +281,19 @@ func (d *Daemon) handleConn(nc net.Conn) {
 			return
 		}
 		d.mu.Lock()
+		// A chain frame goes to the successor's shard that owns its keys,
+		// so every member of a chain must split flows the same way.
+		for _, n := range d.chains[ci].names {
+			if peer := d.members[n]; peer != nil && n != reg.Name && !peer.dead.Load() && peer.shards != reg.Shards {
+				d.mu.Unlock()
+				reason := fmt.Sprintf("%s runs %d shards but chain member %s runs %d: pin -shards to one value across the chain",
+					reg.Name, reg.Shards, n, peer.shards)
+				log.Printf("ctl: rejected store %s", reason)
+				cn.send(&Envelope{Op: OpWelcome, Err: reason})
+				nc.Close()
+				return
+			}
+		}
 		if old := d.members[reg.Name]; old != nil {
 			old.dead.Store(true)
 			old.cn.c.Close()

@@ -13,11 +13,11 @@
 // newest view they have applied (fencing against a delayed rollout
 // racing a newer one).
 //
-// This mirrors the simulator's in-process member.Coordinator — both
-// plan membership with the same member.PlanSplice/PlanRejoin helpers —
-// but fences at the control-command layer instead of stamping every
-// data-path replication message with a view number (see DESIGN.md
-// "Control plane").
+// This mirrors the simulator's in-process member.Coordinator: both plan
+// membership with the same member.PlanSplice/PlanRejoin helpers, and
+// both fence twice — control commands by view here, and every data-path
+// replication message by the view it is stamped with at the store (see
+// DESIGN.md "Control plane").
 package ctl
 
 import (

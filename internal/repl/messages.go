@@ -5,7 +5,8 @@ import "redplane/internal/packet"
 // ChainMsg carries committed updates (and the outputs to release at the
 // tail) down a replication chain. View is the sender's chain view
 // number: receivers drop messages from any other view, which fences a
-// replica that was spliced out of the chain but doesn't know it yet.
+// replica that was spliced out of the chain but doesn't know it yet. On
+// real sockets the same message is store.UDPServer's chain frame.
 type ChainMsg struct {
 	View uint64
 	Ups  []Update

@@ -91,8 +91,11 @@ type Msg interface {
 
 // Replicator is the replication-engine contract: what a store server
 // needs from replication and nothing more. Implementations are
-// single-threaded like the server that drives them; every method runs
-// inside the simulator's event loop.
+// single-threaded like the server that drives them: every method runs
+// on the goroutine that owns the shard. Today that is the simulator's
+// event loop — the real-UDP store speaks the chain engine's protocol
+// (ChainMsg as a datagram, see store.UDPServer) without going through
+// this interface yet.
 type Replicator interface {
 	// Name returns the engine name (EngineChain, EngineQuorum, ...).
 	Name() string

@@ -68,9 +68,6 @@ func NewCluster(sim *netsim.Sim, shards, replicas int, cfg Config,
 			o.configure(srv, sh, r)
 			row = append(row, srv)
 		}
-		for r := 0; r+1 < replicas; r++ {
-			row[r].SetNext(row[r+1])
-		}
 		c.servers = append(c.servers, row)
 		c.all = append(c.all, row...)
 	}
@@ -89,8 +86,8 @@ func NewCluster(sim *netsim.Sim, shards, replicas int, cfg Config,
 		for r := range members {
 			members[r] = r
 		}
-		// Install the initial view (number 1) so every server is fenced
-		// to it from the start.
+		// Install the initial view (number 1): it links each chain and
+		// fences every server to it from the start.
 		c.SetView(sh, members)
 	}
 	return c

@@ -21,48 +21,40 @@ func (e *chainEngine) Name() string { return repl.EngineChain }
 // rest).
 func (e *chainEngine) CanServe() bool { return e.s.inChain }
 
-// Commit implements repl.Replicator: forward down the chain, or release
-// immediately when this server is the tail (or unreplicated).
+// Commit implements repl.Replicator: a commit decided here enters the
+// chain as the message a successor would have received.
 func (e *chainEngine) Commit(ups []repl.Update, outs []repl.Output) {
-	s := e.s
-	s.release(func() {
-		if s.next != nil {
-			e.forward(&repl.ChainMsg{Ups: ups, Outs: outs})
-			return
-		}
-		s.emitAll(outs)
-	})
+	e.pass(&repl.ChainMsg{Ups: ups, Outs: outs})
 }
 
 // Handle implements repl.Replicator: apply a predecessor's updates, then
-// forward (or, at the tail, release the outputs) behind this replica's
-// own durability barrier.
+// pass the message on.
 func (e *chainEngine) Handle(m repl.Msg) {
 	c, ok := m.(*repl.ChainMsg)
 	if !ok {
 		return // another engine's traffic (mixed-engine misconfiguration)
 	}
-	s := e.s
 	for _, up := range c.Ups {
-		s.shard.Apply(up)
+		e.s.shard.Apply(up)
 	}
-	s.release(func() {
-		if s.next != nil {
-			e.forward(c)
-			return
-		}
-		// Tail: the update is durable on every replica; release the
-		// outputs.
-		s.emitAll(c.Outs)
-	})
+	e.pass(c)
 }
 
-// forward stamps the message with the sender's current view — and
-// re-stamps on every hop, so a replica that changed views between
-// receive and send fences itself — then transmits to the successor.
-func (e *chainEngine) forward(c *repl.ChainMsg) {
-	c.View = e.s.view
-	e.s.sendPeer(e.s.next, c)
+// pass moves c on behind this replica's own durability barrier: to the
+// successor, stamped with the sender's current view — re-stamped on every
+// hop, so a replica that changed views between receive and send fences
+// itself — or, at the tail (or unreplicated), where the updates are
+// durable on every replica, its outputs to the switches.
+func (e *chainEngine) pass(c *repl.ChainMsg) {
+	s := e.s
+	s.release(func() {
+		if s.next == nil {
+			s.emitAll(c.Outs)
+			return
+		}
+		c.View = s.view
+		s.sendPeer(s.next, c)
+	})
 }
 
 // ViewChanged implements repl.Replicator: chain replication keeps no

@@ -5,10 +5,14 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
+	"redplane/internal/netsim"
+	"redplane/internal/packet"
 	"redplane/internal/wire"
 )
 
@@ -196,6 +200,169 @@ func TestServerIOPathEquivalence(t *testing.T) {
 		v2, s2, ok2 := portable.State(FlowKey(i))
 		if !ok1 || !ok2 || s1 != s2 || fmt.Sprint(v1) != fmt.Sprint(v2) {
 			t.Fatalf("flow %d state differs: %v/%d/%v vs %v/%d/%v", i, v1, s1, ok1, v2, s2, ok2)
+		}
+	}
+}
+
+// equivStep is one datagram of the equivalence script: msgs sent by
+// switch sw as a plain frame (one message) or a batch.
+type equivStep struct {
+	name string
+	sw   int
+	msgs []*wire.Message
+}
+
+// equivScript builds the seeded request script both transports run. It
+// returns fresh messages on every call — transports stamp and retain
+// them — and the flows it touches.
+func equivScript(seed int64) (steps []equivStep, keys []packet.FiveTuple) {
+	rng := rand.New(rand.NewSource(seed))
+	val := func() uint64 { return uint64(rng.Intn(1 << 20)) }
+	k := FlowKey(rng.Intn(1000))
+	keys = append(keys, k)
+	step := func(name string, sw int, msgs ...*wire.Message) {
+		steps = append(steps, equivStep{name, sw, msgs})
+	}
+	step("lease", 1, leaseNew(1, k))
+	step("write", 1, replMsg(1, k, 1, val(), val()))
+	step("conflict: non-owner write", 2, replMsg(2, k, 2, val()))
+	step("expiry: queued lease granted to the other switch", 2, leaseNew(2, k))
+	step("conflict: old owner renews", 1, &wire.Message{Type: wire.MsgLeaseRenew, Key: k})
+	step("renew", 2, &wire.Message{Type: wire.MsgLeaseRenew, Key: k})
+	v := val()
+	step("write after takeover", 2, replMsg(2, k, 2, v))
+	step("duplicate", 2, replMsg(2, k, 2, v))
+	step("gap", 2, replMsg(2, k, 5, val()))
+	var batch []*wire.Message
+	for i := 0; i < 4; i++ { // 4 flows x (lease + 3 writes) = one 16-batch
+		bk := FlowKey(1000 + rng.Intn(1000)*4 + i)
+		keys = append(keys, bk)
+		batch = append(batch, leaseNew(2, bk))
+		for seq := uint64(1); seq <= 3; seq++ {
+			batch = append(batch, replMsg(2, bk, seq, val()))
+		}
+	}
+	step("16-batch", 2, batch...)
+	return steps, keys
+}
+
+// equivReplica is what the two transports must agree on, per replica.
+type equivReplica struct {
+	Flows  []string // per key: vals, lastSeq, ok, owner
+	Digest uint64
+}
+
+func ackSig(m *wire.Message) string {
+	return fmt.Sprintf("%v %v seq=%d vals=%v new=%v", m.Type, m.Key, m.Seq, m.Vals, m.NewFlow)
+}
+
+// TestServerUDPEquivalence drives one seeded request script — lease,
+// write, conflict, expiry, renew, duplicate, gap, 16-batch — through a
+// three-server simulator chain and a three-server loopback UDP chain and
+// requires the same acknowledgment stream and the same state, owner and
+// digest on every replica. The two transports share the Shard core and
+// the chain protocol (head decides, successors Apply, tail acks); this
+// is the test that they do.
+func TestServerUDPEquivalence(t *testing.T) {
+	const seed = 21
+	cfg := Config{LeasePeriod: 400 * time.Millisecond}
+
+	// Simulator chain: two switches and three servers on a hub.
+	sim := netsim.New(1)
+	h := &hub{ports: make(map[packet.Addr]*netsim.Port)}
+	sws := map[int]*fakeSwitch{}
+	for id := 1; id <= 2; id++ {
+		sw := &fakeSwitch{id: id, ip: packet.MakeAddr(10, 9, 9, byte(id))}
+		_, sw.port, h.ports[sw.ip] = netsim.Connect(sim, sw, h, netsim.LinkConfig{Delay: time.Microsecond})
+		sws[id] = sw
+	}
+	var simSrv []*Server
+	for i := 0; i < 3; i++ {
+		ip := packet.MakeAddr(10, 8, 0, byte(i+1))
+		srv := NewServer(sim, fmt.Sprintf("s%d", i), ip, NewShard(cfg), time.Microsecond)
+		srv.SwitchAddr = func(id int) packet.Addr { return sws[id].ip }
+		var sp *netsim.Port
+		_, sp, h.ports[ip] = netsim.Connect(sim, srv, h, netsim.LinkConfig{Delay: time.Microsecond})
+		srv.SetPort(sp)
+		simSrv = append(simSrv, srv)
+	}
+	simSrv[0].SetNext(simSrv[1])
+	simSrv[1].SetNext(simSrv[2])
+	var simAcks []string
+	steps, keys := equivScript(seed)
+	for _, st := range steps {
+		sw := sws[st.sw]
+		from := len(sw.got)
+		if len(st.msgs) == 1 {
+			sw.send(st.msgs[0], simSrv[0].IP)
+		} else {
+			for _, m := range st.msgs {
+				m.SwitchID = sw.id
+			}
+			b := &wire.Batch{Msgs: st.msgs}
+			sw.port.Send(&netsim.Frame{Src: sw.ip, Dst: simSrv[0].IP, Size: b.WireLen(), Msg: b,
+				Flow: packet.FiveTuple{Src: sw.ip, Dst: simSrv[0].IP, SrcPort: wire.SwitchPort,
+					DstPort: wire.StorePort, Proto: packet.ProtoUDP}})
+		}
+		sim.Run() // to quiescence: through the lease-expiry wake when a request queued
+		for _, m := range sw.got[from:] {
+			simAcks = append(simAcks, st.name+": "+ackSig(m))
+		}
+	}
+	var simReplicas []equivReplica
+	for _, srv := range simSrv {
+		r := equivReplica{Digest: srv.Shard().Digest()}
+		for _, k := range keys {
+			vals, seq, ok := srv.Shard().State(k)
+			r.Flows = append(r.Flows, fmt.Sprint(vals, seq, ok, srv.Shard().Owner(k, int64(sim.Now()))))
+		}
+		simReplicas = append(simReplicas, r)
+	}
+
+	// Loopback chain: the same script over real sockets and wall time.
+	udpSrv := startUDPChain(t, 3, cfg)
+	clients := map[int]*UDPClient{}
+	for id := 1; id <= 2; id++ {
+		c, err := DialUDP(udpSrv[0].Addr().String(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		clients[id] = c
+	}
+	var udpAcks []string
+	steps, _ = equivScript(seed)
+	for _, st := range steps {
+		acks, err := clients[st.sw].RequestBatch(st.msgs)
+		if err != nil {
+			t.Fatalf("udp %s: %v", st.name, err)
+		}
+		for _, m := range acks {
+			udpAcks = append(udpAcks, st.name+": "+ackSig(m))
+		}
+	}
+	var udpReplicas []equivReplica
+	for _, srv := range udpSrv {
+		r := equivReplica{Digest: srv.Digest()}
+		for _, k := range keys {
+			vals, seq, ok := srv.State(k)
+			r.Flows = append(r.Flows, fmt.Sprint(vals, seq, ok, udpOwner(srv, k)))
+		}
+		udpReplicas = append(udpReplicas, r)
+	}
+
+	if !reflect.DeepEqual(simAcks, udpAcks) {
+		t.Errorf("ack streams differ:\nsim: %s\nudp: %s", strings.Join(simAcks, "\n     "), strings.Join(udpAcks, "\n     "))
+	}
+	if len(simAcks) != 9+16 {
+		t.Errorf("script produced %d acks, want 25: %v", len(simAcks), simAcks)
+	}
+	for i := range simReplicas {
+		if !reflect.DeepEqual(simReplicas[i], udpReplicas[i]) {
+			t.Errorf("replica %d differs:\nsim: %+v\nudp: %+v", i, simReplicas[i], udpReplicas[i])
+		}
+		if simReplicas[i].Digest != simReplicas[0].Digest {
+			t.Errorf("sim replica %d digest differs from the head's", i)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"redplane/internal/obs"
 	"redplane/internal/packet"
 	"redplane/internal/wire"
 )
@@ -261,7 +262,7 @@ func RunSweep(cfg SweepConfig) (SweepResult, error) {
 		}
 	}
 	for _, sn := range senders {
-		res.SentDgrams += sn.sentDgrams
+		res.SentDgrams += sn.tx.txDgrams.Value()
 		res.RecvDgrams += sn.recvDgrams.Load()
 		res.ProcessedWrites += sn.processed.Load()
 		res.Retrans += sn.retrans
@@ -294,16 +295,13 @@ type sweepSender struct {
 	conn  *net.UDPConn
 	dst   *net.UDPAddr
 	br    batchReader
-	tx    []txSlot
-	txN   int
+	tx    *txBatcher // writer-goroutine only
 	flows []*sweepFlow
 	byKey map[packet.FiveTuple]*sweepFlow
 
-	sentDgrams uint64 // writer-goroutine only
-	retrans    uint64
+	retrans    uint64 // writer-goroutine only
 	recvDgrams atomic.Uint64
 	processed  atomic.Uint64
-	bw         batchWriter
 }
 
 // sockBufBytes is the socket buffer size the sweep asks for on both
@@ -326,13 +324,14 @@ func newSweepSender(dst *net.UDPAddr, flows []*sweepFlow, cfg SweepConfig) (*swe
 	conn.SetWriteBuffer(sockBufBytes)
 	sn := &sweepSender{
 		cfg: cfg, conn: conn, dst: dst, flows: flows,
-		tx:    make([]txSlot, cfg.SyscallBatch),
+		tx: &txBatcher{slots: make([]txSlot, cfg.SyscallBatch),
+			txBatches: new(obs.Counter), txDgrams: new(obs.Counter)},
 		byKey: make(map[packet.FiveTuple]*sweepFlow, len(flows)),
 	}
 	if cfg.Portable {
-		sn.br, sn.bw, _ = newPortableIO(conn)
+		sn.br, sn.tx.bw, _ = newPortableIO(conn)
 	} else {
-		sn.br, sn.bw, _ = newPlatformIO(conn)
+		sn.br, sn.tx.bw, _ = newPlatformIO(conn)
 	}
 	for _, f := range flows {
 		sn.byKey[f.key] = f
@@ -515,27 +514,11 @@ func (sn *sweepSender) stageWrites(f *sweepFlow, from, to uint64) {
 	})
 }
 
-// stage marshals one datagram into the next tx slot, flushing a full
-// batch.
-func (sn *sweepSender) stage(fn func(b []byte) []byte) {
-	sl := &sn.tx[sn.txN]
-	sl.buf = fn(sl.buf[:0])
-	sl.addr = sn.dst
-	sn.txN++
-	if sn.txN == len(sn.tx) {
-		sn.flushTx()
-	}
-}
+// stage marshals one datagram for the store into the tx batch. Send
+// errors are left to the stall timer, like any other loss.
+func (sn *sweepSender) stage(fn func(b []byte) []byte) { _ = sn.tx.stage(sn.dst, fn) }
 
-func (sn *sweepSender) flushTx() {
-	if sn.txN == 0 {
-		return
-	}
-	if err := sn.bw.WriteBatch(sn.tx[:sn.txN]); err == nil {
-		sn.sentDgrams += uint64(sn.txN)
-	}
-	sn.txN = 0
-}
+func (sn *sweepSender) flushTx() { _ = sn.tx.flush() }
 
 // VerifySweep re-leases every flow of a finished sweep with its original
 // switch ID and checks the store still holds the final watermark — the

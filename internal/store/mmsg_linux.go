@@ -153,12 +153,12 @@ func (w *mmsgWriter) sockaddr(dst *net.UDPAddr, i int) (*byte, uint32, error) {
 	if ip4 != nil && !w.v6 {
 		sa := &w.sa4[i]
 		sa.Family = syscall.AF_INET
-		sa.Port = htons(dst.Port)
+		sa.Port = htons16(uint16(dst.Port))
 		copy(sa.Addr[:], ip4)
 		return (*byte)(unsafe.Pointer(sa)), uint32(unsafe.Sizeof(*sa)), nil
 	}
 	sa := &w.sa6[i]
-	*sa = syscall.RawSockaddrInet6{Family: syscall.AF_INET6, Port: htons(dst.Port)}
+	*sa = syscall.RawSockaddrInet6{Family: syscall.AF_INET6, Port: htons16(uint16(dst.Port))}
 	if ip4 != nil {
 		// ::ffff:a.b.c.d
 		sa.Addr[10], sa.Addr[11] = 0xff, 0xff
@@ -170,10 +170,6 @@ func (w *mmsgWriter) sockaddr(dst *net.UDPAddr, i int) (*byte, uint32, error) {
 	}
 	return (*byte)(unsafe.Pointer(sa)), uint32(unsafe.Sizeof(*sa)), nil
 }
-
-// htons converts a host-order port to the sockaddr's big-endian field
-// (whose declared Go type is host-order uint16).
-func htons(p int) uint16 { return uint16(p>>8) | uint16(p&0xff)<<8 }
 
 // sockaddrToAddrPort decodes a received sockaddr without allocating,
 // unmapping v4-in-v6 so downstream relay prefixes stay 4-byte.
@@ -189,4 +185,6 @@ func sockaddrToAddrPort(rsa *syscall.RawSockaddrAny) netip.AddrPort {
 	return netip.AddrPort{}
 }
 
+// htons16 swaps a port between host order and the sockaddr's big-endian
+// field (whose declared Go type is host-order uint16).
 func htons16(p uint16) uint16 { return p>>8 | p<<8 }

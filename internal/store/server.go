@@ -427,10 +427,7 @@ func (s *Server) serve(n int, fn func()) {
 	if maxMsgs == 0 {
 		maxMsgs = DefaultQueueMaxMsgs
 	}
-	start := s.sim.Now()
-	if s.busyUntil > start {
-		start = s.busyUntil
-	}
+	start := max(s.sim.Now(), s.busyUntil)
 	s.queueNs.Set(int64(start - s.sim.Now()))
 	if start-s.sim.Now() > netsim.Duration(limit) || s.queued+n > maxMsgs {
 		s.dropped.Inc()
@@ -581,7 +578,7 @@ func (s *Server) fireFsync() {
 func (s *Server) emitAll(outs []Output) {
 	if len(outs) <= 1 {
 		for _, o := range outs {
-			s.emit(o)
+			s.sendSwitch(o.DstSwitch, o.Msg)
 		}
 		return
 	}
@@ -592,7 +589,7 @@ func (s *Server) emitAll(outs []Output) {
 	done := make(map[int]bool, len(counts))
 	for _, o := range outs {
 		if counts[o.DstSwitch] == 1 {
-			s.emit(o)
+			s.sendSwitch(o.DstSwitch, o.Msg)
 			continue
 		}
 		if done[o.DstSwitch] {
@@ -605,32 +602,16 @@ func (s *Server) emitAll(outs []Output) {
 				msgs = append(msgs, o2.Msg)
 			}
 		}
-		s.emitBatch(o.DstSwitch, msgs)
+		s.sendSwitch(o.DstSwitch, &wire.Batch{Msgs: msgs})
 	}
 }
 
-func (s *Server) emitBatch(dstSwitch int, msgs []*wire.Message) {
-	b := &wire.Batch{Msgs: msgs}
-	dst := s.SwitchAddr(dstSwitch)
+// send transmits one frame from this server and counts it.
+func (s *Server) send(dst packet.Addr, srcPort, dstPort uint16, m interface{ WireLen() int }) {
 	f := &netsim.Frame{
 		Src: s.IP, Dst: dst,
 		Flow: packet.FiveTuple{Src: s.IP, Dst: dst,
-			SrcPort: wire.StorePort, DstPort: wire.SwitchPort, Proto: packet.ProtoUDP},
-		Size: b.WireLen(),
-		Msg:  b,
-	}
-	s.txBytes.Add(uint64(f.Size))
-	s.txFrames.Inc()
-	s.port.Send(f)
-}
-
-// sendPeer transmits an engine message to another group member. Callers
-// stamp the message's view before sending.
-func (s *Server) sendPeer(dst *Server, m repl.Msg) {
-	f := &netsim.Frame{
-		Src: s.IP, Dst: dst.IP,
-		Flow: packet.FiveTuple{Src: s.IP, Dst: dst.IP,
-			SrcPort: replPort, DstPort: replPort, Proto: packet.ProtoUDP},
+			SrcPort: srcPort, DstPort: dstPort, Proto: packet.ProtoUDP},
 		Size: m.WireLen(),
 		Msg:  m,
 	}
@@ -638,6 +619,16 @@ func (s *Server) sendPeer(dst *Server, m repl.Msg) {
 	s.txFrames.Inc()
 	s.port.Send(f)
 }
+
+// sendSwitch transmits an acknowledgment (a *wire.Message, or a
+// *wire.Batch of them) to a switch.
+func (s *Server) sendSwitch(id int, m interface{ WireLen() int }) {
+	s.send(s.SwitchAddr(id), wire.StorePort, wire.SwitchPort, m)
+}
+
+// sendPeer transmits an engine message to another group member. Callers
+// stamp the message's view before sending.
+func (s *Server) sendPeer(dst *Server, m repl.Msg) { s.send(dst.IP, replPort, replPort, m) }
 
 // applyReconciled installs one reconciled flow state (view-change repair
 // for quorum groups: see Cluster.SetView) and logs it through the
@@ -652,11 +643,7 @@ func (s *Server) applyReconciled(up Update) {
 // virtual time, so requests arriving meanwhile queue — and shed —
 // behind it exactly as they do behind ordinary service time.
 func (s *Server) chargeBusy(d netsim.Time) {
-	start := s.sim.Now()
-	if s.busyUntil > start {
-		start = s.busyUntil
-	}
-	s.busyUntil = start + d
+	s.busyUntil = max(s.sim.Now(), s.busyUntil) + d
 }
 
 // SetRouteCheck installs (or clears, with nil) the flow-space ownership
@@ -694,20 +681,6 @@ func (s *Server) DropRange(pred func(packet.FiveTuple) bool) int {
 	}
 	s.flowsGauge.Set(int64(s.shard.Flows()))
 	return n
-}
-
-func (s *Server) emit(o Output) {
-	dst := s.SwitchAddr(o.DstSwitch)
-	f := &netsim.Frame{
-		Src: s.IP, Dst: dst,
-		Flow: packet.FiveTuple{Src: s.IP, Dst: dst,
-			SrcPort: wire.StorePort, DstPort: wire.SwitchPort, Proto: packet.ProtoUDP},
-		Size: o.Msg.WireLen(),
-		Msg:  o.Msg,
-	}
-	s.txBytes.Add(uint64(f.Size))
-	s.txFrames.Inc()
-	s.port.Send(f)
 }
 
 // armWake schedules a Flush at the shard's next lease-expiry wake point so

@@ -4,14 +4,18 @@
 // piggyback echo, asynchronous snapshot storage (§5.4), and chain
 // replication across a group of servers (§6 uses a group size of 3).
 //
-// The Shard type is transport-independent: the simulator server
-// (internal/store.Server) and the real-UDP server (cmd/redplane-store)
-// both drive it through Process/Flush.
+// The Shard type is the one protocol core, and it is transport
+// independent: the simulator server (Server) and the real-UDP server
+// (UDPServer, cmd/redplane-store) drive it the same way. The replica a
+// switch addresses decides — Process, ProcessBatch, Flush, on its own
+// clock — and every other replica copies the resulting Updates verbatim
+// with Apply; no replica re-runs a request another one already decided.
 package store
 
 import (
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"sort"
 	"time"
@@ -530,6 +534,17 @@ func (s *Shard) NextWake() int64 {
 	return at
 }
 
+// Stale reports whether applying up would move its flow backwards: the
+// replica already holds a later write, or the same write under a later
+// lease. Chain frames overtake each other on a real network and a rejoin
+// delta trails the live chain; both skip a stale update instead of
+// applying it. Snapshot slots merge by epoch and are never stale.
+func (s *Shard) Stale(up Update) bool {
+	f, ok := s.flows[up.Key]
+	return ok && !up.HasSnap && (f.lastSeq > up.LastSeq ||
+		f.lastSeq == up.LastSeq && f.leaseExpiry > up.LeaseExpiry)
+}
+
 // Apply installs a chain-replication update from a predecessor, verbatim.
 func (s *Shard) Apply(up Update) {
 	if s.walHook != nil {
@@ -695,30 +710,37 @@ func (s *Shard) DropRange(pred func(packet.FiveTuple) bool) int {
 	return len(keys)
 }
 
+// foldFlow mixes one flow's replicated write state — key, last applied
+// sequence number, values — into h. Every digest in this package is this
+// fold over flows in sorted key order, so a shard, a key range, and a
+// set of exported Updates holding the same flows hash identically. buf
+// is the caller's scratch: it escapes through h, once per digest.
+func foldFlow(h hash.Hash64, buf *[8]byte, k packet.FiveTuple, lastSeq uint64, vals []uint64) {
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	put(uint64(k.Src))
+	put(uint64(k.Dst))
+	put(uint64(k.SrcPort)<<24 | uint64(k.DstPort)<<8 | uint64(k.Proto))
+	put(lastSeq)
+	put(uint64(len(vals)))
+	for _, v := range vals {
+		put(v)
+	}
+}
+
 // DigestUpdates hashes a set of exported Updates exactly the way
 // RangeDigest hashes the flows they came from, so a migration can check
 // "did the destination install precisely what the sources exported"
-// without a throwaway shard: sort by key, then fold key, lastSeq, and
-// values per flow.
+// without a throwaway shard.
 func DigestUpdates(ups []Update) uint64 {
 	sorted := append([]Update(nil), ups...)
 	sort.Slice(sorted, func(a, b int) bool { return sorted[a].Key.Less(sorted[b].Key) })
 	h := fnv.New64a()
 	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
 	for _, up := range sorted {
-		k := up.Key
-		put(uint64(k.Src))
-		put(uint64(k.Dst))
-		put(uint64(k.SrcPort)<<24 | uint64(k.DstPort)<<8 | uint64(k.Proto))
-		put(up.LastSeq)
-		put(uint64(len(up.Vals)))
-		for _, v := range up.Vals {
-			put(v)
-		}
+		foldFlow(h, &buf, up.Key, up.LastSeq, up.Vals)
 	}
 	return h.Sum64()
 }
@@ -730,22 +752,10 @@ func DigestUpdates(ups []Update) uint64 {
 func (s *Shard) RangeDigest(pred func(packet.FiveTuple) bool) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
 	for _, k := range s.ReplicatedKeys() {
-		if !pred(k) {
-			continue
-		}
-		f := s.flows[k]
-		put(uint64(k.Src))
-		put(uint64(k.Dst))
-		put(uint64(k.SrcPort)<<24 | uint64(k.DstPort)<<8 | uint64(k.Proto))
-		put(f.lastSeq)
-		put(uint64(len(f.vals)))
-		for _, v := range f.vals {
-			put(v)
+		if pred(k) {
+			f := s.flows[k]
+			foldFlow(h, &buf, k, f.lastSeq, f.vals)
 		}
 	}
 	return h.Sum64()
@@ -759,25 +769,7 @@ func (s *Shard) RangeDigest(pred func(packet.FiveTuple) bool) uint64 {
 // after quiescence every replica of a healthy group digests identically.
 // The chaos harness uses this for the chain-agreement invariant.
 func (s *Shard) Digest() uint64 {
-	keys := s.ReplicatedKeys()
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	for _, k := range keys {
-		f := s.flows[k]
-		put(uint64(k.Src))
-		put(uint64(k.Dst))
-		put(uint64(k.SrcPort)<<24 | uint64(k.DstPort)<<8 | uint64(k.Proto))
-		put(f.lastSeq)
-		put(uint64(len(f.vals)))
-		for _, v := range f.vals {
-			put(v)
-		}
-	}
-	return h.Sum64()
+	return s.RangeDigest(func(packet.FiveTuple) bool { return true })
 }
 
 // String summarizes the shard for traces.

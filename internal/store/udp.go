@@ -20,10 +20,12 @@ import (
 
 // UDPServer serves the RedPlane wire protocol over a real UDP socket —
 // the deployment mode of cmd/redplane-store. Chain replication works
-// across processes exactly as in the simulator: the head relays each
-// mutating request to its successor with the original requester's
-// address prepended, and the tail acknowledges straight back to the
-// switch.
+// across processes exactly as in the simulator (chainEngine): only the
+// replica a switch addresses runs the request; what it sends its
+// successor is a view-stamped chain frame — the commit's updates plus the
+// held acknowledgment and the requester's address — which each successor
+// fences by view, applies verbatim, makes durable, and forwards, until
+// the tail sends the acknowledgment straight back to the switch.
 //
 // Internally the server is sharded by flow (DESIGN.md "Per-core
 // sharding on the real-UDP path"): a small set of receiver goroutines
@@ -42,8 +44,9 @@ type UDPServer struct {
 
 	// Control-plane facts, settable at runtime by a redplane-ctl agent
 	// and reported in MsgHello replies. chainPos is -1 until the control
-	// plane announces a position; relaySeen latches once any chain-relayed
-	// datagram arrives (a mid-chain tell even without a control plane).
+	// plane announces a position; relaySeen latches once any chain frame
+	// arrives (a mid-chain tell even without a control plane). view stamps
+	// every chain frame sent and fences every one received.
 	chainPos  atomic.Int32
 	view      atomic.Uint64
 	relaySeen atomic.Bool
@@ -56,22 +59,17 @@ type UDPServer struct {
 	shards []*udpShard
 	recvs  []*udpReceiver
 
-	rxBatches     *obs.Counter
-	rxDgrams      *obs.Counter
-	badDgrams     *obs.Counter
-	misrouteDrops *obs.Counter
+	rxBatches      *obs.Counter
+	rxDgrams       *obs.Counter
+	badDgrams      *obs.Counter
+	misrouteDrops  *obs.Counter
+	staleViewDrops *obs.Counter
 
 	serving  atomic.Bool
 	closed   atomic.Bool
 	stopOnce sync.Once
 	stop     chan struct{}
 }
-
-// relayMagic distinguishes chain-relayed datagrams from direct requests.
-const relayMagic byte = 0xC4
-
-// relayHdrLen is relayMagic + IPv4 + port.
-const relayHdrLen = 7
 
 // leaseFlushTick is how often each shard sweeps expired leases with
 // queued waiters.
@@ -144,11 +142,7 @@ func (o *UDPOptions) fill() error {
 		o.Shards = 1
 	}
 	if o.Receivers == 0 {
-		if o.Shards == 1 {
-			o.Receivers = 1
-		} else {
-			o.Receivers = 2
-		}
+		o.Receivers = min(o.Shards, 2)
 	}
 	if o.RxBatch == 0 {
 		o.RxBatch = 32
@@ -203,6 +197,7 @@ func NewUDPServer(addr, nextAddr string, cfg Config, opts ...UDPOption) (*UDPSer
 	s.rxDgrams = udpNS.Counter("rx_dgrams")
 	s.badDgrams = udpNS.Counter("bad_dgrams")
 	s.misrouteDrops = udpNS.Counter("misroute_drops")
+	s.staleViewDrops = udpNS.Counter("stale_view_drops")
 	s.chainPos.Store(-1)
 	if nextAddr != "" {
 		na, err := net.ResolveUDPAddr("udp", nextAddr)
@@ -337,11 +332,6 @@ func (s *UDPServer) EnableDurabilityBackends(bes []durable.Backend, cfg Durabili
 // Addr returns the bound address.
 func (s *UDPServer) Addr() net.Addr { return s.conn.LocalAddr() }
 
-// Shard exposes shard 0's state shard. Only meaningful before Serve (or
-// after Close): while serving, shard goroutines own their shards — use
-// State/Digest, which fence correctly.
-func (s *UDPServer) Shard() *Shard { return s.shards[0].sh }
-
 // State reads a flow's state, fenced against the owning shard goroutine.
 func (s *UDPServer) State(key packet.FiveTuple) (vals []uint64, lastSeq uint64, ok bool) {
 	sh := s.shards[s.shardFor(key)]
@@ -355,25 +345,8 @@ func (s *UDPServer) State(key packet.FiveTuple) (vals []uint64, lastSeq uint64, 
 // The contract is shard-count invariance: the value is comparable
 // across restarts, across servers configured with different -shards
 // counts, and with simulator shards, because the flow→shard partition
-// never enters the hash. A multi-shard server exports each shard's
-// flows and folds them in globally sorted key order (the same per-flow
-// encoding Shard.Digest uses); one shard short-circuits to the shard
-// digest itself, which is that same fold.
-func (s *UDPServer) Digest() uint64 {
-	if len(s.shards) == 1 {
-		sh := s.shards[0]
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		return sh.sh.Digest()
-	}
-	var ups []Update
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		ups = append(ups, sh.sh.ExportRange(func(packet.FiveTuple) bool { return true })...)
-		sh.mu.Unlock()
-	}
-	return DigestUpdates(ups)
-}
+// never enters the hash (DigestUpdates sorts by key before folding).
+func (s *UDPServer) Digest() uint64 { return DigestUpdates(s.ExportState()) }
 
 // UDPStats is a point-in-time snapshot of the server's counters.
 type UDPStats struct {
@@ -452,14 +425,14 @@ func (s *UDPServer) Serve() error {
 }
 
 // dgram is one routed unit of work handed from a receiver to a shard:
-// the raw payload (single-message or batch framing, relay prefix
-// stripped) plus, for batches, the already-decoded members.
+// a switch's request (single-message or batch framing, with the batch's
+// members already decoded) or a predecessor's chain frame.
 type dgram struct {
 	base    *[]byte         // pooled backing buffer to recycle
-	payload []byte          // wire payload; relayed down the chain verbatim
-	msgs    []*wire.Message // decoded batch members; nil ⇒ payload is one message
-	origin  *net.UDPAddr    // original requester (interned: shared, never mutated)
-	relayed bool            // arrived via a chain relay (predecessor, not switch)
+	payload []byte          // the datagram, a span of *base
+	msgs    []*wire.Message // decoded batch members; nil ⇒ payload is one message or a chain frame
+	origin  *net.UDPAddr    // requester to acknowledge (interned: shared, never mutated; nil = unknown)
+	chain   bool            // payload is a chain frame from the predecessor, not a switch's request
 }
 
 // udpReceiver drains the socket and routes datagrams to shard rings.
@@ -471,8 +444,8 @@ type udpReceiver struct {
 	group  []splitGroup // per-shard split-batch scratch
 	frames [][]byte     // member-frame scratch (spans of the rx buffer)
 
-	// addrs interns datagram sources and relay origins: the same few
-	// peers send almost every datagram, so each gets one *net.UDPAddr
+	// addrs interns datagram sources and chain-frame requesters: the same
+	// few peers send almost every datagram, so each gets one *net.UDPAddr
 	// shared by sh.addrs, pendingReply and pendingRelay. Never mutate one.
 	addrs map[netip.AddrPort]*net.UDPAddr
 	// touched marks the shards the current rx batch pushed work to.
@@ -539,22 +512,14 @@ func (r *udpReceiver) intern(ap netip.AddrPort) *net.UDPAddr {
 }
 
 // route hands one received datagram to its owning shard. Single-message
-// frames are routed by a header peek and decoded by the shard; batch
-// frames are decoded here (splitting them requires it) and re-framed
-// per shard when their members span several.
+// frames and chain frames are routed by a key peek and decoded by the
+// shard; batch frames are decoded here (splitting them requires it) and
+// re-framed per shard when their members span several. A chain frame is
+// never split: its sender built it from one shard's commit, and every
+// chain member runs the same shard count.
 func (r *udpReceiver) route(sl *rxSlot) {
 	s := r.srv
-	b := (*sl.buf)[:sl.n]
-	src := sl.addr
-	payload := b
-	relayed := false
-	if len(b) > relayHdrLen && b[0] == relayMagic {
-		// Chain relay: recover the original requester's address.
-		src = netip.AddrPortFrom(netip.AddrFrom4([4]byte(b[1:5])), binary.BigEndian.Uint16(b[5:7]))
-		payload = b[relayHdrLen:]
-		relayed = true
-		s.relaySeen.Store(true)
-	}
+	payload := (*sl.buf)[:sl.n]
 	if wire.IsBatch(payload) {
 		var bt wire.Batch
 		if err := bt.Unmarshal(payload); err != nil {
@@ -565,7 +530,7 @@ func (r *udpReceiver) route(sl *rxSlot) {
 		if len(bt.Msgs) == 0 {
 			return
 		}
-		origin := r.intern(src)
+		origin := r.intern(sl.addr)
 		target := s.shardFor(bt.Msgs[0].Key)
 		same := true
 		for _, m := range bt.Msgs[1:] {
@@ -575,7 +540,7 @@ func (r *udpReceiver) route(sl *rxSlot) {
 			}
 		}
 		if same {
-			r.deliver(target, dgram{base: sl.buf, payload: payload, msgs: bt.Msgs, origin: origin, relayed: relayed})
+			r.deliver(target, dgram{base: sl.buf, payload: payload, msgs: bt.Msgs, origin: origin})
 			sl.buf = s.getBuf() // ownership moved to the ring
 			return
 		}
@@ -606,20 +571,31 @@ func (r *udpReceiver) route(sl *rxSlot) {
 			}
 			nb := s.getBuf()
 			pb := wire.AppendBatchFrames((*nb)[:0], g.frames...)
-			r.deliver(si, dgram{base: nb, payload: pb, msgs: g.msgs, origin: origin, relayed: relayed})
+			r.deliver(si, dgram{base: nb, payload: pb, msgs: g.msgs, origin: origin})
 			// The msgs slice moved to the shard; the frame spans die with
 			// this datagram and their backing array is reused.
 			g.msgs, g.frames = nil, g.frames[:0]
 		}
 		return
 	}
+	d := dgram{base: sl.buf, payload: payload, chain: len(payload) > 0 && payload[0] == chainMagic}
 	key, ok := wire.PeekKey(payload)
+	requester := sl.addr
+	if d.chain {
+		if key, ok = frameFirstKey(payload); ok {
+			requester = frameRequester(payload)
+			s.relaySeen.Store(true)
+		}
+	}
 	if !ok {
 		s.badDgrams.Inc()
 		log.Printf("store: bad datagram from %v (%d bytes)", sl.addr, len(payload))
 		return
 	}
-	r.deliver(s.shardFor(key), dgram{base: sl.buf, payload: payload, origin: r.intern(src), relayed: relayed})
+	if !d.chain || requester.Port() != 0 { // a chain frame may name no requester
+		d.origin = r.intern(requester)
+	}
+	r.deliver(s.shardFor(key), d)
 	sl.buf = s.getBuf()
 }
 
@@ -635,6 +611,104 @@ func (r *udpReceiver) deliver(shard int, d dgram) {
 	r.touched[shard] = true
 }
 
+// A chain frame is repl.ChainMsg on a real socket — what a replica sends
+// its successor for one commit:
+//
+//	magic(1) view(8) requester addr(16) port(2) count(2)
+//	{ len(2) EncodeUpdate }*count   acknowledgment datagram (may be empty)
+//
+// view is the sender's when the frame left it: every hop re-stamps it and
+// a receiver drops a frame whose view is not its own. The requester is
+// the switch socket the tail sends the acknowledgment part to (port 0 =
+// unknown, nothing to acknowledge). Updates use the WAL's record
+// encoding; header integers are big-endian like the rest of the wire.
+const (
+	// chainMagic cannot start a request: those begin with the high byte
+	// of a sequence number, or the batch magic.
+	chainMagic    byte = 0xC4
+	chainViewOff       = 1
+	chainAddrOff       = chainViewOff + 8
+	chainCountOff      = chainAddrOff + 16 + 2
+	chainHdrLen        = chainCountOff + 2
+	maxChainFrame      = 65507 // largest UDP payload: a longer frame cannot be sent
+	// chainGrowth bounds how far one message's update and acknowledgment
+	// exceed its request encoding, when its flow's state is no wider than
+	// the values it carries (a snapshot slot update is the worst case).
+	chainGrowth = 52
+)
+
+var errChainFrame = errors.New("store: truncated chain frame")
+
+// appendChainFrame appends one commit's frame to b, view zero until
+// stageRelay stamps it, and returns the frame and its acknowledgment
+// part. With no known requester (nil) the updates still replicate; the
+// frame then carries no acknowledgment.
+func appendChainFrame(b []byte, requester *net.UDPAddr, ups []Update, outs []Output) (frame, ack []byte) {
+	var ap netip.AddrPort
+	if requester != nil {
+		ap = requester.AddrPort()
+	}
+	a16 := ap.Addr().As16()
+	b = append(b, chainMagic, 0, 0, 0, 0, 0, 0, 0, 0)
+	b = append(b, a16[:]...)
+	b = binary.BigEndian.AppendUint16(b, ap.Port())
+	b = binary.BigEndian.AppendUint16(b, uint16(len(ups)))
+	for _, up := range ups {
+		at := len(b)
+		b = EncodeUpdate(append(b, 0, 0), up)
+		binary.BigEndian.PutUint16(b[at:], uint16(len(b)-at-2))
+	}
+	at := len(b)
+	if requester != nil && len(outs) > 0 {
+		b = appendAcks(b, outs)
+	}
+	return b, b[at:]
+}
+
+// frameFirstKey peeks the key of a frame's first update, which routes the
+// frame to its shard. False for a frame too short to hold one update.
+func frameFirstKey(b []byte) (packet.FiveTuple, bool) {
+	const keyOff = chainHdrLen + 2 + 1 // length prefix, flags byte
+	if len(b) < keyOff {
+		return packet.FiveTuple{}, false
+	}
+	k, _, err := getKey(b[keyOff:])
+	return k, err == nil
+}
+
+// frameRequester reads the requester of a frame frameFirstKey accepted.
+func frameRequester(b []byte) netip.AddrPort {
+	addr := netip.AddrFrom16([16]byte(b[chainAddrOff : chainAddrOff+16])).Unmap()
+	return netip.AddrPortFrom(addr, binary.BigEndian.Uint16(b[chainAddrOff+16:]))
+}
+
+// decodeChainFrame decodes every update of a frame into ups (reusing its
+// backing array) and returns them with the acknowledgment part, which
+// aliases b. Any malformation fails the whole frame: a receiver applies
+// all of a commit or none of it.
+func decodeChainFrame(b []byte, ups []Update) ([]Update, []byte, error) {
+	if len(b) < chainHdrLen || b[0] != chainMagic {
+		return ups, nil, errChainFrame
+	}
+	n := int(binary.BigEndian.Uint16(b[chainCountOff:]))
+	if n == 0 {
+		return ups, nil, errors.New("store: chain frame without updates")
+	}
+	b = b[chainHdrLen:]
+	for ; n > 0; n-- {
+		if len(b) < 2 || len(b) < 2+int(binary.BigEndian.Uint16(b)) {
+			return ups, nil, errChainFrame
+		}
+		l := 2 + int(binary.BigEndian.Uint16(b))
+		up, err := DecodeUpdate(b[2:l])
+		if err != nil {
+			return ups, nil, err
+		}
+		ups, b = append(ups, up), b[l:]
+	}
+	return ups, b, nil
+}
+
 // pendingReply is an acknowledgment datagram held until the covering
 // group commit.
 type pendingReply struct {
@@ -642,11 +716,14 @@ type pendingReply struct {
 	to   *net.UDPAddr
 }
 
-// pendingRelay is a chain forward held until the covering group commit.
+// pendingRelay is a chain frame — built here from a commit, or received
+// and applied — held until the covering group commit. ack is the part of
+// frame the tail sends to origin.
 type pendingRelay struct {
-	base    *[]byte
-	payload []byte
-	origin  *net.UDPAddr
+	base   *[]byte
+	frame  []byte
+	ack    []byte
+	origin *net.UDPAddr
 }
 
 // udpShard owns one partition of the flow space: exactly one goroutine
@@ -668,6 +745,8 @@ type udpShard struct {
 
 	pendingOut   []pendingReply
 	pendingRelay []pendingRelay
+	ups          []Update         // applyChain's decode scratch
+	one          [1]*wire.Message // handle's one-message batch
 
 	queueDepth *obs.Gauge
 	dgrams     *obs.Counter
@@ -731,22 +810,16 @@ func (sh *udpShard) drain() {
 	}
 }
 
-// handle processes one datagram's messages on the shard and stages its
-// effects (relay or replies) for the next commit.
+// handle stages one datagram's effects for the next commit. A switch's
+// request is decided here, on this replica's clock; a mutation with a
+// successor leaves as a chain frame, anything else is answered from here.
 func (sh *udpShard) handle(d dgram) {
-	now := time.Now().UnixNano()
-	var outs []Output
-	var ups []Update
-	if d.msgs != nil {
-		if !d.relayed && sh.srv.misrouted(d.msgs...) {
-			sh.srv.putBuf(d.base)
-			return
-		}
-		for _, m := range d.msgs {
-			sh.addrs[m.SwitchID] = d.origin
-		}
-		outs, ups = sh.sh.ProcessBatch(now, d.msgs)
-	} else {
+	if d.chain {
+		sh.applyChain(d)
+		return
+	}
+	msgs := d.msgs
+	if msgs == nil {
 		m := new(wire.Message)
 		if err := m.Unmarshal(d.payload); err != nil {
 			sh.srv.badDgrams.Inc()
@@ -757,35 +830,100 @@ func (sh *udpShard) handle(d dgram) {
 		if m.Type == wire.MsgHello {
 			// Deployment handshake: answer immediately with topology
 			// facts; never touches flow state or the WAL.
-			sh.pendingOut = append(sh.pendingOut,
-				pendingReply{outs: []Output{{Msg: sh.srv.helloAck(m)}}, to: d.origin})
 			sh.dgrams.Inc()
-			sh.srv.putBuf(d.base)
+			sh.hold(d.base, d.origin, nil, []Output{{Msg: sh.srv.helloAck(m)}})
 			return
 		}
-		if !d.relayed && sh.srv.misrouted(m) {
-			sh.srv.putBuf(d.base)
-			return
-		}
-		sh.addrs[m.SwitchID] = d.origin
-		outs, ups = sh.sh.Process(now, m)
+		sh.one[0] = m
+		msgs = sh.one[:]
 	}
-	sh.dgrams.Inc()
-	if len(ups) > 0 && sh.srv.next.Load() != nil {
-		// Mutation mid-chain: push the raw payload down the chain; the
-		// tail replies. The buffer is recycled after the relay escapes.
-		sh.pendingRelay = append(sh.pendingRelay, pendingRelay{base: d.base, payload: d.payload, origin: d.origin})
+	if sh.srv.misrouted(msgs...) {
+		sh.srv.putBuf(d.base)
 		return
 	}
-	if len(outs) > 0 {
-		sh.pendingOut = append(sh.pendingOut, pendingReply{outs: outs, to: d.origin})
+	if sh.srv.next.Load() != nil && chainHdrLen+len(d.payload)+chainGrowth*len(msgs) > maxChainFrame {
+		// The commit's frame might not fit a datagram: refuse the request
+		// while nothing has changed, rather than decide what cannot travel.
+		sh.srv.badDgrams.Inc()
+		log.Printf("store: %d-byte request of %d messages from %v is too large to relay", len(d.payload), len(msgs), d.origin)
+		sh.srv.putBuf(d.base)
+		return
 	}
-	sh.srv.putBuf(d.base)
+	for _, m := range msgs {
+		sh.addrs[m.SwitchID] = d.origin
+	}
+	outs, ups := sh.sh.ProcessBatch(time.Now().UnixNano(), msgs)
+	sh.dgrams.Inc()
+	// Nothing Unmarshal returned aliases the rx buffer, so a chain frame is
+	// built over the request in place.
+	sh.hold(d.base, d.origin, ups, outs)
+}
+
+// hold stages one commit of this replica for the group commit: with a
+// successor and something to replicate, as a chain frame built in *base
+// (nil: a fresh buffer); otherwise as a reply from here.
+func (sh *udpShard) hold(base *[]byte, origin *net.UDPAddr, ups []Update, outs []Output) {
+	if len(ups) > 0 && sh.srv.next.Load() != nil {
+		if base == nil {
+			base = sh.srv.getBuf()
+		}
+		frame, ack := appendChainFrame((*base)[:0], origin, ups, outs)
+		if len(frame) <= maxChainFrame {
+			sh.pendingRelay = append(sh.pendingRelay, pendingRelay{base: base, frame: frame, ack: ack, origin: origin})
+			return
+		}
+		// Past handle's estimate only when stored state is far wider than
+		// the requests touching it: it cannot travel, so it is not acked.
+		sh.srv.badDgrams.Inc()
+		log.Printf("store: commit of %d updates for %v exceeds a datagram, dropped", len(ups), origin)
+	} else if len(outs) > 0 && origin != nil {
+		sh.pendingOut = append(sh.pendingOut, pendingReply{outs: outs, to: origin})
+	}
+	if base != nil {
+		sh.srv.putBuf(base)
+	}
+}
+
+// applyChain installs a predecessor's chain frame: fence the view as
+// Server.handleRepl does, decode every update before applying any, copy
+// them into the shard verbatim (through the WAL hook) unless the flow is
+// already past them, and hold the frame for this replica's group commit.
+func (sh *udpShard) applyChain(d dgram) {
+	srv := sh.srv
+	if binary.BigEndian.Uint64(d.payload[chainViewOff:]) != srv.view.Load() {
+		srv.staleViewDrops.Inc()
+		srv.putBuf(d.base)
+		return
+	}
+	ups, ack, err := decodeChainFrame(d.payload, sh.ups[:0])
+	sh.ups = ups
+	for i := 0; err == nil && i < len(ups); i++ {
+		if si := srv.shardFor(ups[i].Key); si != sh.idx {
+			err = fmt.Errorf("update for %v belongs to shard %d, not %d: chain members must run equal -shards",
+				ups[i].Key, si, sh.idx)
+		}
+	}
+	if err != nil {
+		srv.badDgrams.Inc()
+		log.Printf("store: bad chain frame: %v", err)
+		srv.putBuf(d.base)
+		return
+	}
+	for _, up := range ups {
+		// Frames overtake each other — between hosts, and between this
+		// server's receivers. One overtaken by a later write of its flow
+		// changes nothing here, but still travels on with its ack.
+		if !sh.sh.Stale(up) {
+			sh.sh.Apply(up)
+		}
+	}
+	sh.dgrams.Inc()
+	sh.pendingRelay = append(sh.pendingRelay, pendingRelay{base: d.base, frame: d.payload, ack: ack, origin: d.origin})
 }
 
 // commit makes the staged mutations durable (one fsync for the whole
-// burst), then releases every held relay and acknowledgment through the
-// shard's egress batch. On a failed sync nothing escapes — the staged
+// burst), then releases every held chain frame and acknowledgment through
+// the shard's egress batch. On a failed sync nothing escapes — the staged
 // WAL records remain for the next attempt and the switches retransmit.
 func (sh *udpShard) commit() {
 	if sh.dur != nil && sh.dur.StagedRecords() > 0 {
@@ -799,111 +937,85 @@ func (sh *udpShard) commit() {
 		sh.commits.Inc()
 	}
 	for i := range sh.pendingRelay {
-		pr := &sh.pendingRelay[i]
-		sh.stageRelay(pr.payload, pr.origin)
-		sh.srv.putBuf(pr.base)
-		pr.base = nil
+		sh.stageRelay(&sh.pendingRelay[i])
 	}
-	sh.pendingRelay = sh.pendingRelay[:0]
 	for i := range sh.pendingOut {
 		po := &sh.pendingOut[i]
-		sh.stageReply(po.outs, po.to)
-		po.outs = nil
+		sh.staged(sh.replies, sh.tx.stage(po.to, func(b []byte) []byte { return appendAcks(b, po.outs) }))
 	}
-	sh.pendingOut = sh.pendingOut[:0]
-	if err := sh.tx.flush(); err != nil {
-		sh.logSendErr(err)
-	}
+	sh.dropPending() // staging copied the bytes; recycle the holds
+	sh.staged(nil, sh.tx.flush())
 }
 
-// dropPending discards staged outputs after a failed sync.
+// dropPending recycles and forgets everything held for a commit: after a
+// failed sync, so that nothing escapes, or once it has all been staged.
 func (sh *udpShard) dropPending() {
 	for i := range sh.pendingRelay {
 		sh.srv.putBuf(sh.pendingRelay[i].base)
-		sh.pendingRelay[i].base = nil
 	}
-	sh.pendingRelay = sh.pendingRelay[:0]
-	for i := range sh.pendingOut {
-		sh.pendingOut[i].outs = nil
-	}
-	sh.pendingOut = sh.pendingOut[:0]
+	clear(sh.pendingRelay)
+	clear(sh.pendingOut)
+	sh.pendingRelay, sh.pendingOut = sh.pendingRelay[:0], sh.pendingOut[:0]
 }
 
-// stageRelay frames the raw request for the chain successor: the relay
-// magic plus the original requester's address, then the payload.
-func (sh *udpShard) stageRelay(payload []byte, origin *net.UDPAddr) {
-	next := sh.srv.next.Load()
-	if next == nil {
-		// The successor was unlinked between handle and commit (control
-		// plane splice). Drop: the switch retransmits and the retry takes
-		// the tail path.
-		return
+// stageRelay sends a committed chain frame onward: to the successor,
+// stamped with this replica's view (on every hop, so a replica whose view
+// moved since it received the frame fences itself), or — at the tail,
+// where the updates are now durable on every member — its acknowledgment
+// part to the requester, untouched. The link is read now, not when the
+// frame was held, so a control-plane relink applies at once.
+func (sh *udpShard) stageRelay(pr *pendingRelay) {
+	if next := sh.srv.next.Load(); next != nil {
+		sh.staged(sh.relays, sh.tx.stage(next, func(b []byte) []byte {
+			b = append(b, pr.frame...)
+			binary.BigEndian.PutUint64(b[chainViewOff:], sh.srv.view.Load())
+			return b
+		}))
+	} else if pr.origin != nil && len(pr.ack) > 0 {
+		sh.staged(sh.replies, sh.tx.stage(pr.origin, func(b []byte) []byte { return append(b, pr.ack...) }))
 	}
-	ip4 := origin.IP.To4()
-	if ip4 == nil {
-		log.Printf("store: cannot relay for non-IPv4 origin %v", origin)
-		return
-	}
-	err := sh.tx.stage(next, func(b []byte) []byte {
-		b = append(b, relayMagic)
-		b = append(b, ip4...)
-		b = binary.BigEndian.AppendUint16(b, uint16(origin.Port))
-		return append(b, payload...)
-	})
+}
+
+// staged counts a datagram handed to the egress batch, or logs why the
+// batch it completed could not be sent.
+func (sh *udpShard) staged(count *obs.Counter, err error) {
 	if err != nil {
-		sh.logSendErr(err)
-		return
-	}
-	sh.relays.Inc()
-}
-
-// stageReply frames a processed datagram's acknowledgments exactly as
-// the single-goroutine server did: one plain frame for a lone ack, one
-// batch datagram otherwise.
-func (sh *udpShard) stageReply(outs []Output, to *net.UDPAddr) {
-	if len(outs) == 0 {
-		return
-	}
-	var err error
-	if len(outs) == 1 {
-		err = sh.tx.stage(to, func(b []byte) []byte { return outs[0].Msg.Marshal(b) })
-	} else {
-		bt := wire.Batch{Msgs: make([]*wire.Message, len(outs))}
-		for i, o := range outs {
-			bt.Msgs[i] = o.Msg
+		if !sh.srv.closed.Load() {
+			log.Printf("store: send: %v", err)
 		}
-		err = sh.tx.stage(to, func(b []byte) []byte { return bt.Marshal(b) })
+	} else if count != nil {
+		count.Inc()
 	}
-	if err != nil {
-		sh.logSendErr(err)
-		return
+}
+
+// appendAcks frames a commit's acknowledgments as the reply datagram a
+// switch expects: one plain frame for a lone ack, one batch otherwise.
+func appendAcks(b []byte, outs []Output) []byte {
+	if len(outs) == 1 {
+		return outs[0].Msg.Marshal(b)
 	}
-	sh.replies.Inc()
+	bt := wire.Batch{Msgs: make([]*wire.Message, len(outs))}
+	for i, o := range outs {
+		bt.Msgs[i] = o.Msg
+	}
+	return bt.Marshal(b)
 }
 
 // flushLeases grants queued lease requests whose blocking leases
-// expired, with the grants held behind the same durability barrier as
-// any other mutation.
+// expired. A grant is a mutation like any other: with a successor it
+// travels the chain (one frame per grant, each has its own requester) and
+// the tail acknowledges it; else it is acknowledged from here after sync.
 func (sh *udpShard) flushLeases() {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	outs, ups := sh.sh.Flush(time.Now().UnixNano())
-	if len(outs) == 0 && len(ups) == 0 {
+	if len(ups) == 0 {
 		return
 	}
-	for _, o := range outs {
-		if a, ok := sh.addrs[o.DstSwitch]; ok {
-			sh.pendingOut = append(sh.pendingOut, pendingReply{outs: []Output{o}, to: a})
-		}
+	for i := range outs { // Flush returns one output and one update per grant
+		sh.hold(nil, sh.addrs[outs[i].DstSwitch], ups[i:i+1], outs[i:i+1])
 	}
 	sh.commit()
-}
-
-func (sh *udpShard) logSendErr(err error) {
-	if sh.srv.closed.Load() {
-		return
-	}
-	log.Printf("store: send: %v", err)
 }
 
 // txBatcher accumulates marshaled datagrams and sends them in one

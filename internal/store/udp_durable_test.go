@@ -150,7 +150,15 @@ func TestUDPGroupCommitSelfClocked(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The client has its 51st ack once WriteBatch hands it to the kernel;
+	// txBatcher counts it only after that call returns. Let it.
 	base := srv.Stats()
+	for deadline := time.Now().Add(5 * time.Second); base.TxDgrams < base.RxDgrams; base = srv.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("tx=%d never reached rx=%d", base.TxDgrams, base.RxDgrams)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	if ps := base.PerShard[0]; ps.Commits != flows || ps.Dgrams != flows || fsyncs.Value() != flows {
 		t.Fatalf("one-at-a-time: commits=%d dgrams=%d fsyncs=%d, want %d each",
 			ps.Commits, ps.Dgrams, fsyncs.Value(), flows)

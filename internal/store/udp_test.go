@@ -11,13 +11,13 @@ import (
 
 // startUDPChain launches n chained UDP servers on loopback and returns
 // them head-first, plus a cleanup function.
-func startUDPChain(t *testing.T, n int, cfg Config) []*UDPServer {
+func startUDPChain(t *testing.T, n int, cfg Config, opts ...UDPOption) []*UDPServer {
 	t.Helper()
 	// Build tail-first so each head knows its successor's bound port.
 	var servers []*UDPServer
 	next := ""
 	for i := 0; i < n; i++ {
-		srv, err := NewUDPServer("127.0.0.1:0", next, cfg)
+		srv, err := NewUDPServer("127.0.0.1:0", next, cfg, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -89,47 +89,13 @@ func (e *TimeoutError) Unwrap() error { return ErrTimeout }
 
 // Request sends m and returns the acknowledgment matching its type and
 // covering its sequence number, retransmitting on timeout (§5.2's
-// sequencing makes duplicates harmless).
+// sequencing makes duplicates harmless). It is the one-message batch.
 func (c *UDPClient) Request(m *wire.Message) (*wire.Message, error) {
-	m.SwitchID = c.switchID
-	wantAck := wire.AckFor(m.Type)
-	if wantAck == 0 {
-		return nil, fmt.Errorf("store: %v is not a request", m.Type)
+	acks, err := c.RequestBatch([]*wire.Message{m})
+	if err != nil {
+		return nil, err
 	}
-	req := m.Marshal(c.enc[:0])
-	c.enc = req
-	if c.rcv == nil {
-		c.rcv = make([]byte, 65536)
-	}
-	buf := c.rcv
-	var deadline time.Time
-	for attempt := 0; attempt <= c.Retries; attempt++ {
-		if _, err := c.conn.WriteToUDP(req, c.head); err != nil {
-			return nil, fmt.Errorf("store: send: %w", err)
-		}
-		deadline = time.Now().Add(c.backoffWait(attempt))
-		for {
-			if err := c.conn.SetReadDeadline(deadline); err != nil {
-				return nil, err
-			}
-			n, _, err := c.conn.ReadFromUDP(buf)
-			if err != nil {
-				var ne net.Error
-				if errors.As(err, &ne) && ne.Timeout() {
-					break // retransmit
-				}
-				return nil, fmt.Errorf("store: recv: %w", err)
-			}
-			for _, ack := range decodeAcks(buf[:n]) {
-				if matchAck(ack, m, wantAck) {
-					return ack, nil
-				}
-				// A stale or foreign ack: keep listening until the
-				// deadline.
-			}
-		}
-	}
-	return nil, &TimeoutError{Attempts: c.Retries + 1, LastDeadline: deadline}
+	return acks[0], nil
 }
 
 // decodeAcks parses a received datagram into its acknowledgment
@@ -150,42 +116,39 @@ func decodeAcks(b []byte) []*wire.Message {
 	return []*wire.Message{m}
 }
 
-// matchAck reports whether ack settles request m (which awaits wantAck).
-func matchAck(ack, m *wire.Message, wantAck wire.MsgType) bool {
+// matchAck reports whether ack settles request m.
+func matchAck(ack, m *wire.Message) bool {
 	if ack.Key != m.Key {
 		return false
 	}
 	if ack.Type == wire.MsgLeaseReject {
 		return true
 	}
-	return ack.Type == wantAck && ack.Seq >= m.Seq
+	return ack.Type == wire.AckFor(m.Type) && ack.Seq >= m.Seq
 }
 
-// RequestBatch sends msgs as one batch datagram and waits until every
-// member is acknowledged, retransmitting the whole batch on timeout
-// (§5.2's sequencing makes the duplicates harmless). Acks are returned
-// positionally: acks[i] settles msgs[i].
+// RequestBatch sends msgs as one datagram — a batch, or the plain frame
+// for a lone message — and waits until every member is acknowledged,
+// retransmitting the whole datagram on timeout (§5.2's sequencing makes
+// the duplicates harmless). Acks are returned positionally: acks[i]
+// settles msgs[i].
 func (c *UDPClient) RequestBatch(msgs []*wire.Message) ([]*wire.Message, error) {
 	if len(msgs) == 0 {
 		return nil, nil
 	}
-	if len(msgs) == 1 {
-		ack, err := c.Request(msgs[0])
-		if err != nil {
-			return nil, err
-		}
-		return []*wire.Message{ack}, nil
-	}
-	wants := make([]wire.MsgType, len(msgs))
-	for i, m := range msgs {
+	for _, m := range msgs {
 		m.SwitchID = c.switchID
-		wants[i] = wire.AckFor(m.Type)
-		if wants[i] == 0 {
+		if wire.AckFor(m.Type) == 0 {
 			return nil, fmt.Errorf("store: %v is not a request", m.Type)
 		}
 	}
-	bt := wire.Batch{Msgs: msgs}
-	req := bt.Marshal(c.enc[:0])
+	var req []byte
+	if len(msgs) == 1 {
+		req = msgs[0].Marshal(c.enc[:0])
+	} else {
+		bt := wire.Batch{Msgs: msgs}
+		req = bt.Marshal(c.enc[:0])
+	}
 	c.enc = req
 	if c.rcv == nil {
 		c.rcv = make([]byte, 65536)
@@ -213,7 +176,7 @@ func (c *UDPClient) RequestBatch(msgs []*wire.Message) ([]*wire.Message, error) 
 			}
 			for _, ack := range decodeAcks(buf[:n]) {
 				for i, m := range msgs {
-					if acks[i] == nil && matchAck(ack, m, wants[i]) {
+					if acks[i] == nil && matchAck(ack, m) {
 						acks[i] = ack
 						remaining--
 						break

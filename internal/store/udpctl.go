@@ -49,11 +49,13 @@ func (s *UDPServer) SetChainPos(pos int) { s.chainPos.Store(int32(pos)) }
 // announces one).
 func (s *UDPServer) ChainPos() int { return int(s.chainPos.Load()) }
 
-// SetViewNum records the control plane's view number, echoed in hello
-// replies so clients can observe membership churn.
+// SetViewNum records the control plane's view number. It is the data-path
+// fence — every chain frame sent carries it, one received under any other
+// is dropped — and hello replies echo it so clients see membership churn.
 func (s *UDPServer) SetViewNum(v uint64) { s.view.Store(v) }
 
-// ViewNum reports the last announced view number.
+// ViewNum reports the view chain frames are currently stamped and fenced
+// with (0 until a control plane announces one).
 func (s *UDPServer) ViewNum() uint64 { return s.view.Load() }
 
 // RelaySeen reports whether any chain-relayed datagram has arrived —
@@ -136,9 +138,9 @@ func (s *UDPServer) ExportState() []Update {
 
 // InstallState applies a peer's exported updates, routing each to its
 // owning shard. With replace set, local flows absent from ups are
-// dropped first (bulk resync); without it, an update only lands if its
-// LastSeq is at least the local flow's (delta merge — never regress a
-// flow the live chain already advanced past). Both paths go through
+// dropped first (bulk resync); without it, an update only lands if it is
+// not Stale against the local flow (delta merge — never regress a flow
+// the live chain already advanced past). Both paths go through
 // the WAL hook; callers should still force a checkpoint afterwards to
 // bound replay. Returns the number of updates applied.
 func (s *UDPServer) InstallState(ups []Update, replace bool) int {
@@ -158,10 +160,8 @@ func (s *UDPServer) InstallState(ups []Update, replace bool) int {
 			sh.sh.DropRange(func(k packet.FiveTuple) bool { return !keep[k] })
 		}
 		for _, up := range perShard[si] {
-			if !replace {
-				if _, lastSeq, ok := sh.sh.State(up.Key); ok && lastSeq > up.LastSeq {
-					continue
-				}
+			if !replace && sh.sh.Stale(up) {
+				continue
 			}
 			sh.sh.Apply(up)
 			applied++

@@ -21,13 +21,11 @@ const (
 )
 
 func putKey(b []byte, k packet.FiveTuple) []byte {
-	var kb [13]byte
-	binary.LittleEndian.PutUint32(kb[0:], uint32(k.Src))
-	binary.LittleEndian.PutUint32(kb[4:], uint32(k.Dst))
-	binary.LittleEndian.PutUint16(kb[8:], k.SrcPort)
-	binary.LittleEndian.PutUint16(kb[10:], k.DstPort)
-	kb[12] = byte(k.Proto)
-	return append(b, kb[:]...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(k.Src))
+	b = binary.LittleEndian.AppendUint32(b, uint32(k.Dst))
+	b = binary.LittleEndian.AppendUint16(b, k.SrcPort)
+	b = binary.LittleEndian.AppendUint16(b, k.DstPort)
+	return append(b, byte(k.Proto))
 }
 
 func getKey(b []byte) (packet.FiveTuple, []byte, error) {
@@ -45,13 +43,9 @@ func getKey(b []byte) (packet.FiveTuple, []byte, error) {
 }
 
 func putVals(b []byte, vals []uint64) []byte {
-	var n [2]byte
-	binary.LittleEndian.PutUint16(n[:], uint16(len(vals)))
-	b = append(b, n[:]...)
-	var v [8]byte
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(vals)))
 	for _, x := range vals {
-		binary.LittleEndian.PutUint64(v[:], x)
-		b = append(b, v[:]...)
+		b = binary.LittleEndian.AppendUint64(b, x)
 	}
 	return b
 }
@@ -76,9 +70,7 @@ func getVals(b []byte) ([]uint64, []byte, error) {
 }
 
 func putU64(b []byte, v uint64) []byte {
-	var x [8]byte
-	binary.LittleEndian.PutUint64(x[:], v)
-	return append(b, x[:]...)
+	return binary.LittleEndian.AppendUint64(b, v)
 }
 
 func getU64(b []byte) (uint64, []byte, error) {
@@ -89,9 +81,7 @@ func getU64(b []byte) (uint64, []byte, error) {
 }
 
 func putU32(b []byte, v uint32) []byte {
-	var x [4]byte
-	binary.LittleEndian.PutUint32(x[:], v)
-	return append(b, x[:]...)
+	return binary.LittleEndian.AppendUint32(b, v)
 }
 
 func getU32(b []byte) (uint32, []byte, error) {

@@ -19,11 +19,18 @@ type rxSlot struct {
 }
 
 // txSlot is one outgoing datagram: a marshaled payload and its
-// destination. Slots are reused; buf is truncated and re-appended per
-// datagram so its capacity is retained.
+// destination (unmapped, like every address the server holds). Slots are
+// reused; buf is truncated and re-appended per datagram so its capacity
+// is retained.
 type txSlot struct {
 	buf  []byte
-	addr *net.UDPAddr
+	addr netip.AddrPort
+}
+
+// unmapped converts a resolved address to the form a txSlot carries.
+func unmapped(a *net.UDPAddr) netip.AddrPort {
+	ap := a.AddrPort()
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 }
 
 // batchReader drains a UDP socket in batches: one call returns as many
@@ -55,13 +62,13 @@ func (r *loopReader) ReadBatch(slots []rxSlot) (int, error) {
 	return 1, nil
 }
 
-// loopWriter is the portable fallback batchWriter: one WriteToUDP per
+// loopWriter is the portable fallback batchWriter: one write per
 // datagram.
 type loopWriter struct{ conn *net.UDPConn }
 
 func (w *loopWriter) WriteBatch(slots []txSlot) error {
 	for i := range slots {
-		if _, err := w.conn.WriteToUDP(slots[i].buf, slots[i].addr); err != nil {
+		if _, err := w.conn.WriteToUDPAddrPort(slots[i].buf, slots[i].addr); err != nil {
 			return err
 		}
 	}

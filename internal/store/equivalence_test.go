@@ -50,7 +50,7 @@ func TestBatchIOByteEquivalence(t *testing.T) {
 				const dgrams = 96
 				sent := make([]string, 0, dgrams)
 				slots := make([]txSlot, 0, 16)
-				to := dst.LocalAddr().(*net.UDPAddr)
+				to := localAddrPort(dst)
 				for i := 0; i < dgrams; i++ {
 					b := make([]byte, 1+rng.Intn(1200))
 					rng.Read(b)
@@ -94,6 +94,46 @@ func TestBatchIOByteEquivalence(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestBatchIONoAllocs: a batched read or write allocates nothing — the
+// server makes one of each per commit group. It runs on whichever
+// implementation the build selects (CI runs both tags).
+func TestBatchIONoAllocs(t *testing.T) {
+	src, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	dst, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	_, w, name := newPlatformIO(src)
+	r, _, _ := newPlatformIO(dst)
+	dst.SetReadDeadline(time.Now().Add(10 * time.Second))
+
+	const runs = 50
+	tx := []txSlot{{buf: []byte("a"), addr: localAddrPort(dst)}, {buf: []byte("b"), addr: localAddrPort(dst)}}
+	if n := testing.AllocsPerRun(runs, func() {
+		if err := w.WriteBatch(tx); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("%s WriteBatch: %v allocs per call, want 0", name, n)
+	}
+	// Every datagram is already queued, so no read parks; each call has at
+	// least one to return.
+	b := make([]byte, udpBufSize)
+	rx := []rxSlot{{buf: &b}}
+	if n := testing.AllocsPerRun(runs, func() {
+		if _, err := r.ReadBatch(rx); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("%s ReadBatch: %v allocs per call, want 0", name, n)
 	}
 }
 

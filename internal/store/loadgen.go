@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"net/netip"
 	"runtime"
 	"sort"
 	"sync"
@@ -216,10 +217,11 @@ func FlowKey(i int) packet.FiveTuple {
 // replication requests through each.
 func RunSweep(cfg SweepConfig) (SweepResult, error) {
 	cfg.fill()
-	dst, err := net.ResolveUDPAddr("udp", cfg.Addr)
+	ua, err := net.ResolveUDPAddr("udp", cfg.Addr)
 	if err != nil {
 		return SweepResult{}, fmt.Errorf("loadgen: resolve %q: %w", cfg.Addr, err)
 	}
+	dst := unmapped(ua)
 	targets := SweepWriteTargets(cfg.Flows, cfg.Writes, cfg.Zipf)
 	flows := make([]*sweepFlow, cfg.Flows)
 	for i := range flows {
@@ -293,7 +295,7 @@ func RunSweep(cfg SweepConfig) (SweepResult, error) {
 type sweepSender struct {
 	cfg   SweepConfig
 	conn  *net.UDPConn
-	dst   *net.UDPAddr
+	dst   netip.AddrPort
 	br    batchReader
 	tx    *txBatcher // writer-goroutine only
 	flows []*sweepFlow
@@ -309,11 +311,11 @@ type sweepSender struct {
 // net.core.{r,w}mem_max).
 const sockBufBytes = 4 << 20
 
-func newSweepSender(dst *net.UDPAddr, flows []*sweepFlow, cfg SweepConfig) (*sweepSender, error) {
+func newSweepSender(dst netip.AddrPort, flows []*sweepFlow, cfg SweepConfig) (*sweepSender, error) {
 	// Bind the socket in the destination's family: sendmmsg needs the
 	// sockaddr family to match, and v4 loopback is the benchmark path.
 	network := "udp"
-	if dst.IP.To4() != nil {
+	if dst.Addr().Is4() {
 		network = "udp4"
 	}
 	conn, err := net.ListenUDP(network, nil)

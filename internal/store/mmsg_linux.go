@@ -32,8 +32,11 @@ func newPlatformIO(conn *net.UDPConn) (batchReader, batchWriter, string) {
 		return newPortableIO(conn)
 	}
 	local, _ := conn.LocalAddr().(*net.UDPAddr)
-	v6 := local != nil && local.IP.To4() == nil
-	return &mmsgReader{rc: rc}, &mmsgWriter{rc: rc, v6: v6}, "mmsg"
+	r := &mmsgReader{rc: rc}
+	w := &mmsgWriter{rc: rc, v6: local != nil && local.IP.To4() == nil}
+	// Bound once: a method value made per call is a heap allocation.
+	r.call, w.call = r.recv, w.send
+	return r, w, "mmsg"
 }
 
 // mmsgReader drains up to len(slots) datagrams per recvmmsg call. The
@@ -45,6 +48,11 @@ type mmsgReader struct {
 	hdrs  []mmsghdr
 	iovs  []syscall.Iovec
 	names []syscall.RawSockaddrAny
+
+	call  func(fd uintptr) bool // recv, handed to rc.Read
+	want  int                   // headers offered to the call in flight
+	n     int                   // its result
+	errno syscall.Errno
 }
 
 func (r *mmsgReader) ReadBatch(slots []rxSlot) (int, error) {
@@ -62,29 +70,29 @@ func (r *mmsgReader) ReadBatch(slots []rxSlot) (int, error) {
 		r.hdrs[i].Hdr.Iovlen = 1
 		r.hdrs[i].Len = 0
 	}
-	var n int
-	var errno syscall.Errno
-	rerr := r.rc.Read(func(fd uintptr) bool {
-		nn, _, e := syscall.Syscall6(sysRecvmmsg, fd,
-			uintptr(unsafe.Pointer(&r.hdrs[0])), uintptr(len(slots)),
-			syscall.MSG_DONTWAIT, 0, 0)
-		if e == syscall.EAGAIN {
-			return false // netpoller parks until readable
-		}
-		n, errno = int(nn), e
-		return true
-	})
-	if rerr != nil {
-		return 0, rerr
+	r.want = len(slots)
+	if err := r.rc.Read(r.call); err != nil {
+		return 0, err
 	}
-	if errno != 0 {
-		return 0, fmt.Errorf("store: recvmmsg: %w", errno)
+	if r.errno != 0 {
+		return 0, fmt.Errorf("store: recvmmsg: %w", r.errno)
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < r.n; i++ {
 		slots[i].n = int(r.hdrs[i].Len)
 		slots[i].addr = sockaddrToAddrPort(&r.names[i])
 	}
-	return n, nil
+	return r.n, nil
+}
+
+func (r *mmsgReader) recv(fd uintptr) bool {
+	nn, _, e := syscall.Syscall6(sysRecvmmsg, fd,
+		uintptr(unsafe.Pointer(&r.hdrs[0])), uintptr(r.want),
+		syscall.MSG_DONTWAIT, 0, 0)
+	if e == syscall.EAGAIN {
+		return false // netpoller parks until readable
+	}
+	r.n, r.errno = int(nn), e
+	return true
 }
 
 // mmsgWriter sends up to len(slots) datagrams per sendmmsg call,
@@ -96,6 +104,11 @@ type mmsgWriter struct {
 	iovs []syscall.Iovec
 	sa4  []syscall.RawSockaddrInet4
 	sa6  []syscall.RawSockaddrInet6
+
+	call      func(fd uintptr) bool // send, handed to rc.Write
+	sent, end int                   // headers [sent, end) are offered to the call in flight
+	n         int                   // its result
+	errno     syscall.Errno
 }
 
 func (w *mmsgWriter) WriteBatch(slots []txSlot) error {
@@ -118,56 +131,48 @@ func (w *mmsgWriter) WriteBatch(slots []txSlot) error {
 		w.hdrs[i].Hdr.Iovlen = 1
 		w.hdrs[i].Len = 0
 	}
-	sent := 0
-	for sent < len(slots) {
-		var n int
-		var errno syscall.Errno
-		werr := w.rc.Write(func(fd uintptr) bool {
-			nn, _, e := syscall.Syscall6(sysSendmmsg, fd,
-				uintptr(unsafe.Pointer(&w.hdrs[sent])), uintptr(len(slots)-sent),
-				syscall.MSG_DONTWAIT, 0, 0)
-			if e == syscall.EAGAIN {
-				return false // netpoller parks until writable
-			}
-			n, errno = int(nn), e
-			return true
-		})
-		if werr != nil {
-			return werr
+	for w.sent, w.end = 0, len(slots); w.sent < w.end; w.sent += w.n {
+		if err := w.rc.Write(w.call); err != nil {
+			return err
 		}
-		if errno != 0 {
-			return fmt.Errorf("store: sendmmsg: %w", errno)
+		if w.errno != 0 {
+			return fmt.Errorf("store: sendmmsg: %w", w.errno)
 		}
-		if n <= 0 {
+		if w.n <= 0 {
 			return fmt.Errorf("store: sendmmsg made no progress")
 		}
-		sent += n
 	}
 	return nil
 }
 
+func (w *mmsgWriter) send(fd uintptr) bool {
+	nn, _, e := syscall.Syscall6(sysSendmmsg, fd,
+		uintptr(unsafe.Pointer(&w.hdrs[w.sent])), uintptr(w.end-w.sent),
+		syscall.MSG_DONTWAIT, 0, 0)
+	if e == syscall.EAGAIN {
+		return false // netpoller parks until writable
+	}
+	w.n, w.errno = int(nn), e
+	return true
+}
+
 // sockaddr encodes dst into the i-th persistent sockaddr slot, mapping
 // IPv4 destinations to v4-in-v6 when the socket itself is AF_INET6.
-func (w *mmsgWriter) sockaddr(dst *net.UDPAddr, i int) (*byte, uint32, error) {
-	ip4 := dst.IP.To4()
-	if ip4 != nil && !w.v6 {
+func (w *mmsgWriter) sockaddr(dst netip.AddrPort, i int) (*byte, uint32, error) {
+	addr := dst.Addr()
+	if !addr.IsValid() {
+		return nil, 0, fmt.Errorf("store: unroutable destination %v", dst)
+	}
+	if addr.Is4() && !w.v6 {
 		sa := &w.sa4[i]
 		sa.Family = syscall.AF_INET
-		sa.Port = htons16(uint16(dst.Port))
-		copy(sa.Addr[:], ip4)
+		sa.Port = htons16(dst.Port())
+		sa.Addr = addr.As4()
 		return (*byte)(unsafe.Pointer(sa)), uint32(unsafe.Sizeof(*sa)), nil
 	}
 	sa := &w.sa6[i]
-	*sa = syscall.RawSockaddrInet6{Family: syscall.AF_INET6, Port: htons16(uint16(dst.Port))}
-	if ip4 != nil {
-		// ::ffff:a.b.c.d
-		sa.Addr[10], sa.Addr[11] = 0xff, 0xff
-		copy(sa.Addr[12:], ip4)
-	} else if ip6 := dst.IP.To16(); ip6 != nil {
-		copy(sa.Addr[:], ip6)
-	} else {
-		return nil, 0, fmt.Errorf("store: unroutable destination %v", dst)
-	}
+	// As16 maps an IPv4 address to ::ffff:a.b.c.d.
+	*sa = syscall.RawSockaddrInet6{Family: syscall.AF_INET6, Port: htons16(dst.Port()), Addr: addr.As16()}
 	return (*byte)(unsafe.Pointer(sa)), uint32(unsafe.Sizeof(*sa)), nil
 }
 

@@ -22,10 +22,11 @@ import (
 // the deployment mode of cmd/redplane-store. Chain replication works
 // across processes exactly as in the simulator (chainEngine): only the
 // replica a switch addresses runs the request; what it sends its
-// successor is a view-stamped chain frame — the commit's updates plus the
-// held acknowledgment and the requester's address — which each successor
-// fences by view, applies verbatim, makes durable, and forwards, until
-// the tail sends the acknowledgment straight back to the switch.
+// successor is a view-stamped pack of chain entries — per commit, its
+// updates plus the held acknowledgment and the requester's address —
+// which each successor fences by view, applies verbatim, makes durable,
+// and forwards, until the tail sends each acknowledgment straight back to
+// its switch.
 //
 // Internally the server is sharded by flow (DESIGN.md "Per-core
 // sharding on the real-UDP path"): a small set of receiver goroutines
@@ -38,15 +39,15 @@ import (
 // batch (durable ⊇ forwarded ⊇ acked, per shard).
 type UDPServer struct {
 	conn *net.UDPConn
-	next atomic.Pointer[net.UDPAddr] // chain successor (nil = tail / no chain)
+	next atomic.Pointer[netip.AddrPort] // chain successor (nil = tail / no chain)
 	cfg  Config
 	opt  UDPOptions
 
 	// Control-plane facts, settable at runtime by a redplane-ctl agent
 	// and reported in MsgHello replies. chainPos is -1 until the control
-	// plane announces a position; relaySeen latches once any chain frame
+	// plane announces a position; relaySeen latches once any chain datagram
 	// arrives (a mid-chain tell even without a control plane). view stamps
-	// every chain frame sent and fences every one received.
+	// every chain datagram sent and fences every one received.
 	chainPos  atomic.Int32
 	view      atomic.Uint64
 	relaySeen atomic.Bool
@@ -78,11 +79,6 @@ const leaseFlushTick = 50 * time.Millisecond
 // maxDrainBurst bounds the datagrams a shard processes per group
 // commit, so acknowledgments are not starved under sustained ingress.
 const maxDrainBurst = 256
-
-// maxInternAddrs bounds a receiver's address intern table. Datagram
-// sources are outside input, so the table is reset rather than grown
-// once it holds this many peers.
-const maxInternAddrs = 1024
 
 // UDPOptions sizes the sharded server. The zero value of each field
 // selects its default.
@@ -199,13 +195,9 @@ func NewUDPServer(addr, nextAddr string, cfg Config, opts ...UDPOption) (*UDPSer
 	s.misrouteDrops = udpNS.Counter("misroute_drops")
 	s.staleViewDrops = udpNS.Counter("stale_view_drops")
 	s.chainPos.Store(-1)
-	if nextAddr != "" {
-		na, err := net.ResolveUDPAddr("udp", nextAddr)
-		if err != nil {
-			conn.Close()
-			return nil, fmt.Errorf("store: resolve successor %q: %w", nextAddr, err)
-		}
-		s.next.Store(na)
+	if err := s.SetNextAddr(nextAddr); err != nil {
+		conn.Close()
+		return nil, err
 	}
 
 	// newIO builds one reader/writer pair; each receiver and each shard
@@ -224,7 +216,7 @@ func NewUDPServer(addr, nextAddr string, cfg Config, opts ...UDPOption) (*UDPSer
 		sh := &udpShard{
 			srv: s, idx: i,
 			sh:    NewShard(cfg),
-			addrs: make(map[int]*net.UDPAddr),
+			addrs: make(map[int]netip.AddrPort),
 			wake:  make(chan struct{}, 1),
 			rings: make([]*ring.SPSC[dgram], opt.Receivers),
 			tx: &txBatcher{
@@ -232,12 +224,13 @@ func NewUDPServer(addr, nextAddr string, cfg Config, opts ...UDPOption) (*UDPSer
 				txBatches: ns.Counter("tx_batches"),
 				txDgrams:  ns.Counter("tx_dgrams"),
 			},
-			queueDepth: ns.Gauge("queue_depth"),
-			dgrams:     ns.Counter("dgrams"),
-			sheds:      ns.Counter("sheds"),
-			replies:    ns.Counter("replies"),
-			relays:     ns.Counter("relays"),
-			commits:    ns.Counter("commits"),
+			queueDepth:  ns.Gauge("queue_depth"),
+			dgrams:      ns.Counter("dgrams"),
+			sheds:       ns.Counter("sheds"),
+			replies:     ns.Counter("replies"),
+			relays:      ns.Counter("relays"),
+			relayDgrams: ns.Counter("relay_dgrams"),
+			commits:     ns.Counter("commits"),
 		}
 		_, sh.tx.bw, s.ioName = newIO()
 		for r := range sh.rings {
@@ -252,7 +245,6 @@ func NewUDPServer(addr, nextAddr string, cfg Config, opts ...UDPOption) (*UDPSer
 		rx := &udpReceiver{
 			srv: s, idx: i, br: rbr,
 			slots:   make([]rxSlot, opt.RxBatch),
-			addrs:   make(map[netip.AddrPort]*net.UDPAddr),
 			touched: make([]bool, opt.Shards),
 		}
 		for j := range rx.slots {
@@ -426,13 +418,13 @@ func (s *UDPServer) Serve() error {
 
 // dgram is one routed unit of work handed from a receiver to a shard:
 // a switch's request (single-message or batch framing, with the batch's
-// members already decoded) or a predecessor's chain frame.
+// members already decoded) or a predecessor's chain pack.
 type dgram struct {
 	base    *[]byte         // pooled backing buffer to recycle
 	payload []byte          // the datagram, a span of *base
-	msgs    []*wire.Message // decoded batch members; nil ⇒ payload is one message or a chain frame
-	origin  *net.UDPAddr    // requester to acknowledge (interned: shared, never mutated; nil = unknown)
-	chain   bool            // payload is a chain frame from the predecessor, not a switch's request
+	msgs    []*wire.Message // decoded batch members; nil ⇒ payload is one message or a chain pack
+	origin  netip.AddrPort  // the datagram's source: the switch to acknowledge
+	chain   bool            // payload is a chain pack from the predecessor, not a switch's request
 }
 
 // udpReceiver drains the socket and routes datagrams to shard rings.
@@ -444,10 +436,6 @@ type udpReceiver struct {
 	group  []splitGroup // per-shard split-batch scratch
 	frames [][]byte     // member-frame scratch (spans of the rx buffer)
 
-	// addrs interns datagram sources and chain-frame requesters: the same
-	// few peers send almost every datagram, so each gets one *net.UDPAddr
-	// shared by sh.addrs, pendingReply and pendingRelay. Never mutate one.
-	addrs map[netip.AddrPort]*net.UDPAddr
 	// touched marks the shards the current rx batch pushed work to.
 	touched []bool
 }
@@ -497,25 +485,11 @@ func (r *udpReceiver) run(errCh chan<- error) {
 	}
 }
 
-// intern returns the shared *net.UDPAddr for ap, allocating only the
-// first time a peer is seen (and again after a reset).
-func (r *udpReceiver) intern(ap netip.AddrPort) *net.UDPAddr {
-	if a, ok := r.addrs[ap]; ok {
-		return a
-	}
-	if len(r.addrs) >= maxInternAddrs {
-		clear(r.addrs)
-	}
-	a := net.UDPAddrFromAddrPort(ap)
-	r.addrs[ap] = a
-	return a
-}
-
 // route hands one received datagram to its owning shard. Single-message
-// frames and chain frames are routed by a key peek and decoded by the
+// frames and chain packs are routed by a key peek and decoded by the
 // shard; batch frames are decoded here (splitting them requires it) and
-// re-framed per shard when their members span several. A chain frame is
-// never split: its sender built it from one shard's commit, and every
+// re-framed per shard when their members span several. A chain pack is
+// never split: its sender built it from one shard's commits, and every
 // chain member runs the same shard count.
 func (r *udpReceiver) route(sl *rxSlot) {
 	s := r.srv
@@ -530,7 +504,6 @@ func (r *udpReceiver) route(sl *rxSlot) {
 		if len(bt.Msgs) == 0 {
 			return
 		}
-		origin := r.intern(sl.addr)
 		target := s.shardFor(bt.Msgs[0].Key)
 		same := true
 		for _, m := range bt.Msgs[1:] {
@@ -540,7 +513,7 @@ func (r *udpReceiver) route(sl *rxSlot) {
 			}
 		}
 		if same {
-			r.deliver(target, dgram{base: sl.buf, payload: payload, msgs: bt.Msgs, origin: origin})
+			r.deliver(target, dgram{base: sl.buf, payload: payload, msgs: bt.Msgs, origin: sl.addr})
 			sl.buf = s.getBuf() // ownership moved to the ring
 			return
 		}
@@ -571,19 +544,23 @@ func (r *udpReceiver) route(sl *rxSlot) {
 			}
 			nb := s.getBuf()
 			pb := wire.AppendBatchFrames((*nb)[:0], g.frames...)
-			r.deliver(si, dgram{base: nb, payload: pb, msgs: g.msgs, origin: origin})
+			r.deliver(si, dgram{base: nb, payload: pb, msgs: g.msgs, origin: sl.addr})
 			// The msgs slice moved to the shard; the frame spans die with
 			// this datagram and their backing array is reused.
 			g.msgs, g.frames = nil, g.frames[:0]
 		}
 		return
 	}
-	d := dgram{base: sl.buf, payload: payload, chain: len(payload) > 0 && payload[0] == chainMagic}
+	d := dgram{base: sl.buf, payload: payload, origin: sl.addr, chain: len(payload) > 0 && payload[0] == chainMagic}
 	key, ok := wire.PeekKey(payload)
-	requester := sl.addr
 	if d.chain {
-		if key, ok = frameFirstKey(payload); ok {
-			requester = frameRequester(payload)
+		if s.chainPos.Load() == 0 {
+			// The control plane made this server a head: it has no
+			// predecessor in any view, so nothing may send it a pack.
+			s.misrouteDrops.Inc()
+			return
+		}
+		if key, ok = packFirstKey(payload); ok {
 			s.relaySeen.Store(true)
 		}
 	}
@@ -591,9 +568,6 @@ func (r *udpReceiver) route(sl *rxSlot) {
 		s.badDgrams.Inc()
 		log.Printf("store: bad datagram from %v (%d bytes)", sl.addr, len(payload))
 		return
-	}
-	if !d.chain || requester.Port() != 0 { // a chain frame may name no requester
-		d.origin = r.intern(requester)
 	}
 	r.deliver(s.shardFor(key), d)
 	sl.buf = s.getBuf()
@@ -611,64 +585,68 @@ func (r *udpReceiver) deliver(shard int, d dgram) {
 	r.touched[shard] = true
 }
 
-// A chain frame is repl.ChainMsg on a real socket — what a replica sends
-// its successor for one commit:
+// A chain datagram is a pack of entries, each one repl.ChainMsg on a real
+// socket — what a replica sends its successor for one commit:
 //
-//	magic(1) view(8) requester addr(16) port(2) count(2)
-//	{ len(2) EncodeUpdate }*count   acknowledgment datagram (may be empty)
+//	magic(1) view(8)
+//	{ requester addr(16) port(2) count(2) acklen(2)
+//	  { len(2) EncodeUpdate }*count   acknowledgment datagram (acklen bytes) }+
 //
-// view is the sender's when the frame left it: every hop re-stamps it and
-// a receiver drops a frame whose view is not its own. The requester is
-// the switch socket the tail sends the acknowledgment part to (port 0 =
-// unknown, nothing to acknowledge). Updates use the WAL's record
+// view is the sender's when the pack left it: every hop re-stamps it and
+// a receiver drops a pack whose view is not its own. An entry's requester
+// is the switch socket the tail sends its acknowledgment part to (port 0
+// = unknown, nothing to acknowledge). Updates use the WAL's record
 // encoding; header integers are big-endian like the rest of the wire.
 const (
 	// chainMagic cannot start a request: those begin with the high byte
 	// of a sequence number, or the batch magic.
 	chainMagic    byte = 0xC4
 	chainViewOff       = 1
-	chainAddrOff       = chainViewOff + 8
-	chainCountOff      = chainAddrOff + 16 + 2
-	chainHdrLen        = chainCountOff + 2
-	maxChainFrame      = 65507 // largest UDP payload: a longer frame cannot be sent
+	chainPackHdr       = chainViewOff + 8
+	chainEntryHdr      = 16 + 2 + 2 + 2
+	maxChainFrame      = 65507 // largest UDP payload: a longer pack cannot be sent
+	// chainPackBytes is where a shard stops adding a commit group's entries
+	// to one pack: 1500 less the IPv6 and UDP headers, so packing never
+	// relies on IP fragmentation on an Ethernet path. An entry that alone
+	// exceeds it travels alone.
+	chainPackBytes = 1452
 	// chainGrowth bounds how far one message's update and acknowledgment
 	// exceed its request encoding, when its flow's state is no wider than
 	// the values it carries (a snapshot slot update is the worst case).
 	chainGrowth = 52
 )
 
-var errChainFrame = errors.New("store: truncated chain frame")
+var errChainFrame = errors.New("store: truncated chain pack")
 
-// appendChainFrame appends one commit's frame to b, view zero until
-// stageRelay stamps it, and returns the frame and its acknowledgment
-// part. With no known requester (nil) the updates still replicate; the
-// frame then carries no acknowledgment.
-func appendChainFrame(b []byte, requester *net.UDPAddr, ups []Update, outs []Output) (frame, ack []byte) {
-	var ap netip.AddrPort
-	if requester != nil {
-		ap = requester.AddrPort()
-	}
-	a16 := ap.Addr().As16()
-	b = append(b, chainMagic, 0, 0, 0, 0, 0, 0, 0, 0)
+// appendChainEntry appends one commit's entry to b. With no known
+// requester (the zero AddrPort) the updates still replicate; the entry
+// then carries no acknowledgment.
+func appendChainEntry(b []byte, requester netip.AddrPort, ups []Update, outs []Output) []byte {
+	hdr := len(b)
+	a16 := requester.Addr().As16()
 	b = append(b, a16[:]...)
-	b = binary.BigEndian.AppendUint16(b, ap.Port())
+	b = binary.BigEndian.AppendUint16(b, requester.Port())
 	b = binary.BigEndian.AppendUint16(b, uint16(len(ups)))
+	b = append(b, 0, 0)
 	for _, up := range ups {
 		at := len(b)
 		b = EncodeUpdate(append(b, 0, 0), up)
 		binary.BigEndian.PutUint16(b[at:], uint16(len(b)-at-2))
 	}
 	at := len(b)
-	if requester != nil && len(outs) > 0 {
+	if requester.IsValid() && len(outs) > 0 {
 		b = appendAcks(b, outs)
 	}
-	return b, b[at:]
+	// An entry too long for these 16 bits is too long for a datagram: hold
+	// refuses it by its length, whatever was written here.
+	binary.BigEndian.PutUint16(b[hdr+chainEntryHdr-2:], uint16(len(b)-at))
+	return b
 }
 
-// frameFirstKey peeks the key of a frame's first update, which routes the
-// frame to its shard. False for a frame too short to hold one update.
-func frameFirstKey(b []byte) (packet.FiveTuple, bool) {
-	const keyOff = chainHdrLen + 2 + 1 // length prefix, flags byte
+// packFirstKey peeks the key of a pack's first update, which routes the
+// pack to its shard. False for a pack too short to hold one update.
+func packFirstKey(b []byte) (packet.FiveTuple, bool) {
+	const keyOff = chainPackHdr + chainEntryHdr + 2 + 1 // length prefix, flags byte
 	if len(b) < keyOff {
 		return packet.FiveTuple{}, false
 	}
@@ -676,54 +654,81 @@ func frameFirstKey(b []byte) (packet.FiveTuple, bool) {
 	return k, err == nil
 }
 
-// frameRequester reads the requester of a frame frameFirstKey accepted.
-func frameRequester(b []byte) netip.AddrPort {
-	addr := netip.AddrFrom16([16]byte(b[chainAddrOff : chainAddrOff+16])).Unmap()
-	return netip.AddrPortFrom(addr, binary.BigEndian.Uint16(b[chainAddrOff+16:]))
+// chainEntry is one entry of a pack, its parts aliasing the pack.
+type chainEntry struct {
+	requester netip.AddrPort
+	ups       []byte // the length-prefixed updates, at least one
+	ack       []byte
 }
 
-// decodeChainFrame decodes every update of a frame into ups (reusing its
-// backing array) and returns them with the acknowledgment part, which
-// aliases b. Any malformation fails the whole frame: a receiver applies
-// all of a commit or none of it.
-func decodeChainFrame(b []byte, ups []Update) ([]Update, []byte, error) {
-	if len(b) < chainHdrLen || b[0] != chainMagic {
-		return ups, nil, errChainFrame
+// nextChainEntry splits the entry at the head of b (a pack past its
+// header, or past earlier entries) from what follows it. It is the one
+// place entry bounds are computed: the decoder and the tail both walk a
+// pack with it.
+func nextChainEntry(b []byte) (e chainEntry, rest []byte, err error) {
+	if len(b) < chainEntryHdr {
+		return e, nil, errChainFrame
 	}
-	n := int(binary.BigEndian.Uint16(b[chainCountOff:]))
+	e.requester = netip.AddrPortFrom(netip.AddrFrom16([16]byte(b[:16])).Unmap(), binary.BigEndian.Uint16(b[16:]))
+	n, acklen := int(binary.BigEndian.Uint16(b[18:])), int(binary.BigEndian.Uint16(b[20:]))
 	if n == 0 {
-		return ups, nil, errors.New("store: chain frame without updates")
+		return e, nil, errors.New("store: chain entry without updates")
 	}
-	b = b[chainHdrLen:]
+	b = b[chainEntryHdr:]
+	at := 0
 	for ; n > 0; n-- {
-		if len(b) < 2 || len(b) < 2+int(binary.BigEndian.Uint16(b)) {
-			return ups, nil, errChainFrame
+		if len(b)-at < 2 || len(b)-at-2 < int(binary.BigEndian.Uint16(b[at:])) {
+			return e, nil, errChainFrame
 		}
-		l := 2 + int(binary.BigEndian.Uint16(b))
-		up, err := DecodeUpdate(b[2:l])
-		if err != nil {
-			return ups, nil, err
-		}
-		ups, b = append(ups, up), b[l:]
+		at += 2 + int(binary.BigEndian.Uint16(b[at:]))
 	}
-	return ups, b, nil
+	if len(b)-at < acklen {
+		return e, nil, errChainFrame
+	}
+	e.ups, e.ack = b[:at], b[at:at+acklen]
+	return e, b[at+acklen:], nil
+}
+
+// decodeChainPack decodes every update of every entry of a pack into ups
+// (reusing its backing array; their values go to *arena when it is not
+// nil) and returns them with the entry count. Any malformation fails the
+// whole pack: a receiver applies all of a datagram or none of it.
+func decodeChainPack(b []byte, ups []Update, arena *[]uint64) ([]Update, int, error) {
+	if len(b) < chainPackHdr || b[0] != chainMagic {
+		return ups, 0, errChainFrame
+	}
+	entries := 0
+	for b = b[chainPackHdr:]; len(b) > 0 || entries == 0; entries++ {
+		e, rest, err := nextChainEntry(b)
+		if err != nil {
+			return ups, 0, err
+		}
+		for u := e.ups; len(u) > 0; {
+			l := 2 + int(binary.BigEndian.Uint16(u))
+			up, err := decodeUpdate(u[2:l], arena)
+			if err != nil {
+				return ups, 0, err
+			}
+			ups, u = append(ups, up), u[l:]
+		}
+		b = rest
+	}
+	return ups, entries, nil
 }
 
 // pendingReply is an acknowledgment datagram held until the covering
 // group commit.
 type pendingReply struct {
 	outs []Output
-	to   *net.UDPAddr
+	to   netip.AddrPort
 }
 
-// pendingRelay is a chain frame — built here from a commit, or received
-// and applied — held until the covering group commit. ack is the part of
-// frame the tail sends to origin.
+// pendingRelay is a chain pack — built here from this group's commits, or
+// received and applied — held until the covering group commit.
 type pendingRelay struct {
-	base   *[]byte
-	frame  []byte
-	ack    []byte
-	origin *net.UDPAddr
+	base    *[]byte
+	pack    []byte // a span of *base; its view is stamped when it is staged
+	entries int
 }
 
 // udpShard owns one partition of the flow space: exactly one goroutine
@@ -737,23 +742,27 @@ type udpShard struct {
 	mu    sync.Mutex
 	sh    *Shard
 	dur   *Durability
-	addrs map[int]*net.UDPAddr
+	addrs map[int]netip.AddrPort
 
 	rings []*ring.SPSC[dgram]
 	wake  chan struct{}
 	tx    *txBatcher
 
 	pendingOut   []pendingReply
-	pendingRelay []pendingRelay
+	pendingRelay []pendingRelay   // sealed packs
+	open         pendingRelay     // the pack this group's commits are joining (base nil: none)
+	entry        []byte           // hold's entry scratch
 	ups          []Update         // applyChain's decode scratch
+	vals         []uint64         // and the arena its updates' values live in
 	one          [1]*wire.Message // handle's one-message batch
 
-	queueDepth *obs.Gauge
-	dgrams     *obs.Counter
-	sheds      *obs.Counter
-	replies    *obs.Counter
-	relays     *obs.Counter
-	commits    *obs.Counter
+	queueDepth  *obs.Gauge
+	dgrams      *obs.Counter
+	sheds       *obs.Counter
+	replies     *obs.Counter
+	relays      *obs.Counter // entries sent to the successor
+	relayDgrams *obs.Counter // packs they travelled in
+	commits     *obs.Counter
 }
 
 func (sh *udpShard) ringLen() int {
@@ -812,41 +821,42 @@ func (sh *udpShard) drain() {
 
 // handle stages one datagram's effects for the next commit. A switch's
 // request is decided here, on this replica's clock; a mutation with a
-// successor leaves as a chain frame, anything else is answered from here.
+// successor joins the group's chain pack, anything else is answered from
+// here.
 func (sh *udpShard) handle(d dgram) {
 	if d.chain {
 		sh.applyChain(d)
 		return
 	}
+	// Nothing Unmarshal returns aliases the rx buffer, and a commit is
+	// encoded into the shard's own pack: the buffer goes back at once.
+	defer sh.srv.putBuf(d.base)
 	msgs := d.msgs
 	if msgs == nil {
 		m := new(wire.Message)
 		if err := m.Unmarshal(d.payload); err != nil {
 			sh.srv.badDgrams.Inc()
 			log.Printf("store: bad datagram from %v: %v", d.origin, err)
-			sh.srv.putBuf(d.base)
 			return
 		}
 		if m.Type == wire.MsgHello {
 			// Deployment handshake: answer immediately with topology
 			// facts; never touches flow state or the WAL.
 			sh.dgrams.Inc()
-			sh.hold(d.base, d.origin, nil, []Output{{Msg: sh.srv.helloAck(m)}})
+			sh.hold(d.origin, nil, []Output{{Msg: sh.srv.helloAck(m)}})
 			return
 		}
 		sh.one[0] = m
 		msgs = sh.one[:]
 	}
 	if sh.srv.misrouted(msgs...) {
-		sh.srv.putBuf(d.base)
 		return
 	}
-	if sh.srv.next.Load() != nil && chainHdrLen+len(d.payload)+chainGrowth*len(msgs) > maxChainFrame {
-		// The commit's frame might not fit a datagram: refuse the request
+	if sh.srv.next.Load() != nil && chainPackHdr+chainEntryHdr+len(d.payload)+chainGrowth*len(msgs) > maxChainFrame {
+		// The commit's entry might not fit a datagram: refuse the request
 		// while nothing has changed, rather than decide what cannot travel.
 		sh.srv.badDgrams.Inc()
 		log.Printf("store: %d-byte request of %d messages from %v is too large to relay", len(d.payload), len(msgs), d.origin)
-		sh.srv.putBuf(d.base)
 		return
 	}
 	for _, m := range msgs {
@@ -854,40 +864,51 @@ func (sh *udpShard) handle(d dgram) {
 	}
 	outs, ups := sh.sh.ProcessBatch(time.Now().UnixNano(), msgs)
 	sh.dgrams.Inc()
-	// Nothing Unmarshal returned aliases the rx buffer, so a chain frame is
-	// built over the request in place.
-	sh.hold(d.base, d.origin, ups, outs)
+	sh.hold(d.origin, ups, outs)
 }
 
 // hold stages one commit of this replica for the group commit: with a
-// successor and something to replicate, as a chain frame built in *base
-// (nil: a fresh buffer); otherwise as a reply from here.
-func (sh *udpShard) hold(base *[]byte, origin *net.UDPAddr, ups []Update, outs []Output) {
-	if len(ups) > 0 && sh.srv.next.Load() != nil {
-		if base == nil {
-			base = sh.srv.getBuf()
+// successor and something to replicate, as an entry of the open chain
+// pack — sealed first if the entry would take it past chainPackBytes —
+// otherwise as a reply from here.
+func (sh *udpShard) hold(origin netip.AddrPort, ups []Update, outs []Output) {
+	if len(ups) == 0 || sh.srv.next.Load() == nil {
+		if len(outs) > 0 && origin.IsValid() {
+			sh.pendingOut = append(sh.pendingOut, pendingReply{outs: outs, to: origin})
 		}
-		frame, ack := appendChainFrame((*base)[:0], origin, ups, outs)
-		if len(frame) <= maxChainFrame {
-			sh.pendingRelay = append(sh.pendingRelay, pendingRelay{base: base, frame: frame, ack: ack, origin: origin})
-			return
-		}
+		return
+	}
+	sh.entry = appendChainEntry(sh.entry[:0], origin, ups, outs)
+	if chainPackHdr+len(sh.entry) > maxChainFrame {
 		// Past handle's estimate only when stored state is far wider than
 		// the requests touching it: it cannot travel, so it is not acked.
 		sh.srv.badDgrams.Inc()
 		log.Printf("store: commit of %d updates for %v exceeds a datagram, dropped", len(ups), origin)
-	} else if len(outs) > 0 && origin != nil {
-		sh.pendingOut = append(sh.pendingOut, pendingReply{outs: outs, to: origin})
+		return
 	}
-	if base != nil {
-		sh.srv.putBuf(base)
+	if sh.open.entries > 0 && len(sh.open.pack)+len(sh.entry) > chainPackBytes {
+		sh.seal()
 	}
+	if sh.open.base == nil {
+		sh.open.base = sh.srv.getBuf()
+		sh.open.pack = append((*sh.open.base)[:0], chainMagic, 0, 0, 0, 0, 0, 0, 0, 0)
+	}
+	sh.open.pack = append(sh.open.pack, sh.entry...) // ≤ maxChainFrame < udpBufSize: stays in *base
+	sh.open.entries++
 }
 
-// applyChain installs a predecessor's chain frame: fence the view as
-// Server.handleRepl does, decode every update before applying any, copy
-// them into the shard verbatim (through the WAL hook) unless the flow is
-// already past them, and hold the frame for this replica's group commit.
+// seal closes the open pack: it is held like a received one, and like
+// one is not staged before commit's sync.
+func (sh *udpShard) seal() {
+	sh.pendingRelay = append(sh.pendingRelay, sh.open)
+	sh.open = pendingRelay{}
+}
+
+// applyChain installs a predecessor's pack: fence the view as
+// Server.handleRepl does, decode every update of every entry before
+// applying any, copy them into the shard verbatim (through the WAL hook)
+// unless the flow is already past them, and hold the pack for this
+// replica's group commit.
 func (sh *udpShard) applyChain(d dgram) {
 	srv := sh.srv
 	if binary.BigEndian.Uint64(d.payload[chainViewOff:]) != srv.view.Load() {
@@ -895,7 +916,8 @@ func (sh *udpShard) applyChain(d dgram) {
 		srv.putBuf(d.base)
 		return
 	}
-	ups, ack, err := decodeChainFrame(d.payload, sh.ups[:0])
+	sh.vals = sh.vals[:0]
+	ups, entries, err := decodeChainPack(d.payload, sh.ups[:0], &sh.vals)
 	sh.ups = ups
 	for i := 0; err == nil && i < len(ups); i++ {
 		if si := srv.shardFor(ups[i].Key); si != sh.idx {
@@ -905,27 +927,31 @@ func (sh *udpShard) applyChain(d dgram) {
 	}
 	if err != nil {
 		srv.badDgrams.Inc()
-		log.Printf("store: bad chain frame: %v", err)
+		log.Printf("store: bad chain pack: %v", err)
 		srv.putBuf(d.base)
 		return
 	}
 	for _, up := range ups {
-		// Frames overtake each other — between hosts, and between this
-		// server's receivers. One overtaken by a later write of its flow
-		// changes nothing here, but still travels on with its ack.
+		// Packs overtake each other — between hosts, and between this
+		// server's receivers. An update overtaken by a later write of its
+		// flow changes nothing here, but still travels on with its ack.
 		if !sh.sh.Stale(up) {
 			sh.sh.Apply(up)
 		}
 	}
 	sh.dgrams.Inc()
-	sh.pendingRelay = append(sh.pendingRelay, pendingRelay{base: d.base, frame: d.payload, ack: ack, origin: d.origin})
+	sh.pendingRelay = append(sh.pendingRelay, pendingRelay{base: d.base, pack: d.payload, entries: entries})
 }
 
-// commit makes the staged mutations durable (one fsync for the whole
-// burst), then releases every held chain frame and acknowledgment through
-// the shard's egress batch. On a failed sync nothing escapes — the staged
-// WAL records remain for the next attempt and the switches retransmit.
+// commit seals the open pack, makes the staged mutations durable (one
+// fsync for the whole burst), and only then releases every held pack and
+// acknowledgment through the shard's egress batch. On a failed sync
+// nothing escapes — the staged WAL records remain for the next attempt and
+// the switches retransmit.
 func (sh *udpShard) commit() {
+	if sh.open.entries > 0 {
+		sh.seal()
+	}
 	if sh.dur != nil && sh.dur.StagedRecords() > 0 {
 		if err := sh.dur.Sync(time.Now().UnixNano()); err != nil {
 			log.Printf("store: wal sync: %v", err)
@@ -937,14 +963,16 @@ func (sh *udpShard) commit() {
 		sh.commits.Inc()
 	}
 	for i := range sh.pendingRelay {
-		sh.stageRelay(&sh.pendingRelay[i])
+		sh.stagePack(&sh.pendingRelay[i])
 	}
 	for i := range sh.pendingOut {
 		po := &sh.pendingOut[i]
-		sh.staged(sh.replies, sh.tx.stage(po.to, func(b []byte) []byte { return appendAcks(b, po.outs) }))
+		if sh.sent(sh.tx.stage(po.to, func(b []byte) []byte { return appendAcks(b, po.outs) })) {
+			sh.replies.Inc()
+		}
 	}
 	sh.dropPending() // staging copied the bytes; recycle the holds
-	sh.staged(nil, sh.tx.flush())
+	sh.sent(sh.tx.flush())
 }
 
 // dropPending recycles and forgets everything held for a commit: after a
@@ -958,34 +986,44 @@ func (sh *udpShard) dropPending() {
 	sh.pendingRelay, sh.pendingOut = sh.pendingRelay[:0], sh.pendingOut[:0]
 }
 
-// stageRelay sends a committed chain frame onward: to the successor,
-// stamped with this replica's view (on every hop, so a replica whose view
-// moved since it received the frame fences itself), or — at the tail,
-// where the updates are now durable on every member — its acknowledgment
-// part to the requester, untouched. The link is read now, not when the
-// frame was held, so a control-plane relink applies at once.
-func (sh *udpShard) stageRelay(pr *pendingRelay) {
+// stagePack sends a committed pack onward: to the successor, stamped with
+// this replica's view (on every hop, so a replica whose view moved since
+// it received the pack fences itself), or — at the tail, where the updates
+// are now durable on every member — each entry's acknowledgment part to
+// its requester, untouched. The link is read now, not when the pack was
+// held, so a control-plane relink applies at once.
+func (sh *udpShard) stagePack(pr *pendingRelay) {
 	if next := sh.srv.next.Load(); next != nil {
-		sh.staged(sh.relays, sh.tx.stage(next, func(b []byte) []byte {
-			b = append(b, pr.frame...)
+		if sh.sent(sh.tx.stage(*next, func(b []byte) []byte {
+			b = append(b, pr.pack...)
 			binary.BigEndian.PutUint64(b[chainViewOff:], sh.srv.view.Load())
 			return b
-		}))
-	} else if pr.origin != nil && len(pr.ack) > 0 {
-		sh.staged(sh.replies, sh.tx.stage(pr.origin, func(b []byte) []byte { return append(b, pr.ack...) }))
+		})) {
+			sh.relays.Add(uint64(pr.entries))
+			sh.relayDgrams.Inc()
+		}
+		return
+	}
+	for b := pr.pack[chainPackHdr:]; len(b) > 0; {
+		e, rest, err := nextChainEntry(b)
+		if err != nil {
+			return // unreachable: a held pack was built here or decoded whole
+		}
+		b = rest
+		if e.requester.Port() != 0 && len(e.ack) > 0 &&
+			sh.sent(sh.tx.stage(e.requester, func(b []byte) []byte { return append(b, e.ack...) })) {
+			sh.replies.Inc()
+		}
 	}
 }
 
-// staged counts a datagram handed to the egress batch, or logs why the
-// batch it completed could not be sent.
-func (sh *udpShard) staged(count *obs.Counter, err error) {
-	if err != nil {
-		if !sh.srv.closed.Load() {
-			log.Printf("store: send: %v", err)
-		}
-	} else if count != nil {
-		count.Inc()
+// sent reports whether staging a datagram (or flushing the batch) handed
+// the egress batch to the kernel when it had to, logging why not.
+func (sh *udpShard) sent(err error) bool {
+	if err != nil && !sh.srv.closed.Load() {
+		log.Printf("store: send: %v", err)
 	}
+	return err == nil
 }
 
 // appendAcks frames a commit's acknowledgments as the reply datagram a
@@ -1003,7 +1041,7 @@ func appendAcks(b []byte, outs []Output) []byte {
 
 // flushLeases grants queued lease requests whose blocking leases
 // expired. A grant is a mutation like any other: with a successor it
-// travels the chain (one frame per grant, each has its own requester) and
+// travels the chain (one entry per grant, each has its own requester) and
 // the tail acknowledges it; else it is acknowledged from here after sync.
 func (sh *udpShard) flushLeases() {
 	sh.mu.Lock()
@@ -1013,7 +1051,7 @@ func (sh *udpShard) flushLeases() {
 		return
 	}
 	for i := range outs { // Flush returns one output and one update per grant
-		sh.hold(nil, sh.addrs[outs[i].DstSwitch], ups[i:i+1], outs[i:i+1])
+		sh.hold(sh.addrs[outs[i].DstSwitch], ups[i:i+1], outs[i:i+1])
 	}
 	sh.commit()
 }
@@ -1032,7 +1070,7 @@ type txBatcher struct {
 
 // stage marshals one datagram into the next slot via fn and flushes
 // when the batch is full. fn appends to the given buffer and returns it.
-func (t *txBatcher) stage(to *net.UDPAddr, fn func(b []byte) []byte) error {
+func (t *txBatcher) stage(to netip.AddrPort, fn func(b []byte) []byte) error {
 	sl := &t.slots[t.n]
 	sl.buf = fn(sl.buf[:0])
 	sl.addr = to

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"net"
 	"net/netip"
@@ -41,6 +40,17 @@ func waitReplicas(t *testing.T, servers []*UDPServer, key packet.FiveTuple, seq 
 
 func staleViewDrops(srv *UDPServer) uint64 {
 	return srv.Obs().NS("udp").Counter("stale_view_drops").Value()
+}
+
+// chainPack builds the datagram a predecessor in view 0 sends for one
+// commit; appendChainEntry adds further commits to it.
+func chainPack(requester netip.AddrPort, ups []Update, outs []Output) []byte {
+	return appendChainEntry([]byte{chainMagic, 0, 0, 0, 0, 0, 0, 0, 0}, requester, ups, outs)
+}
+
+// localAddrPort is conn's bound address as chain entries and txSlots carry it.
+func localAddrPort(conn *net.UDPConn) netip.AddrPort {
+	return unmapped(conn.LocalAddr().(*net.UDPAddr))
 }
 
 // TestUDPLeaseMigrationThroughChain is the paper's Fig. 14 scenario on
@@ -198,7 +208,7 @@ func TestUDPChainFrameOvertaken(t *testing.T) {
 		{Key: key, Vals: []uint64{60}, LastSeq: 6, Owner: 9, LeaseExpiry: lease - 1, Exists: true}, // overtaken grant
 	} {
 		ack := []Output{{DstSwitch: 1, Msg: &wire.Message{Type: wire.MsgReplAck, Seq: up.LastSeq, Key: key, SwitchID: 1}}}
-		frame, _ := appendChainFrame(nil, conn.LocalAddr().(*net.UDPAddr), []Update{up}, ack)
+		frame := chainPack(localAddrPort(conn), []Update{up}, ack)
 		if _, err := conn.WriteToUDP(frame, srv.Addr().(*net.UDPAddr)); err != nil {
 			t.Fatal(err)
 		}
@@ -289,55 +299,212 @@ func TestUDPOversizeRequestRefused(t *testing.T) {
 	}
 }
 
+// TestUDPChainPackBoundaries pins how a commit group's entries fill chain
+// packs. The group is made deterministic by queueing its datagrams on the
+// head's socket before the head serves: one recvmmsg delivers them all and
+// the shard commits them together, so the head sends exactly the packs a
+// greedy fill at entry boundaries gives, every replica forwards them as
+// they came, and the tail acknowledges each entry to its own requester.
+// Then an entry that alone exceeds the budget travels alone.
+func TestUDPChainPackBoundaries(t *testing.T) {
+	const n = 30 // one rx batch (32) holds the group
+	cfg := Config{LeasePeriod: time.Minute}
+	var servers []*UDPServer // head first
+	for i, next := 0, ""; i < 3; i++ {
+		srv, err := NewUDPServer("127.0.0.1:0", next, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		next = srv.Addr().String()
+		servers = append([]*UDPServer{srv}, servers...)
+	}
+	head := servers[0]
+	go func() { _ = servers[1].Serve() }()
+	go func() { _ = servers[2].Serve() }()
+	counter := func(srv *UDPServer, name string) uint64 {
+		return srv.Obs().NS("udp-shard0").Counter(name).Value()
+	}
+
+	// Switch 1 holds the even flows' leases and switch 2 the odd ones', on
+	// the head and on a reference shard that predicts each entry's size.
+	key := func(i int) packet.FiveTuple { k := udpKey(); k.SrcPort = uint16(2000 + i); return k }
+	write := func(i int) *wire.Message {
+		return &wire.Message{Type: wire.MsgRepl, Key: key(i), Seq: 1, Vals: []uint64{uint64(100 + i)}, SwitchID: 1 + i%2}
+	}
+	ref := NewShard(cfg)
+	var leases []Update
+	for i := 0; i < n; i++ {
+		leases = append(leases, Update{Key: key(i), Owner: 1 + i%2, LeaseExpiry: time.Now().Add(time.Minute).UnixNano(), Exists: true})
+		ref.Apply(leases[i])
+	}
+	head.InstallState(leases, false)
+	var conns [2]*net.UDPConn
+	for i := range conns {
+		conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conns[i] = conn
+	}
+	wantPacks, fill := 0, 0
+	for i := 0; i < n; i++ {
+		if _, err := conns[i%2].WriteToUDP(write(i).Marshal(nil), head.Addr().(*net.UDPAddr)); err != nil {
+			t.Fatal(err)
+		}
+		outs, ups := ref.ProcessBatch(time.Now().UnixNano(), []*wire.Message{write(i)})
+		size := len(appendChainEntry(nil, localAddrPort(conns[i%2]), ups, outs))
+		if fill == 0 || fill+size > chainPackBytes {
+			wantPacks, fill = wantPacks+1, chainPackHdr
+		}
+		fill += size
+	}
+	if wantPacks < 2 || wantPacks > n/4 {
+		t.Fatalf("%d entries predicted to fill %d packs: the group should span a few", n, wantPacks)
+	}
+	go func() { _ = head.Serve() }()
+
+	buf := make([]byte, 2048)
+	for ci, conn := range conns {
+		got := map[packet.FiveTuple]bool{}
+		for len(got) < n/2 {
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			m, _, err := conn.ReadFromUDP(buf)
+			if err != nil {
+				t.Fatalf("switch %d: %d of %d acks: %v", ci+1, len(got), n/2, err)
+			}
+			var ack wire.Message
+			if err := ack.Unmarshal(buf[:m]); err != nil || ack.Type != wire.MsgReplAck || ack.Seq != 1 || ack.SwitchID != ci+1 || got[ack.Key] {
+				t.Fatalf("switch %d: ack %+v (%v): not one of its own, or a duplicate", ci+1, ack, err)
+			}
+			got[ack.Key] = true
+		}
+		conn.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
+		if m, _, err := conn.ReadFromUDP(buf); err == nil {
+			t.Errorf("switch %d: %d bytes beyond its %d acks", ci+1, m, n/2)
+		}
+	}
+	for i := 0; i < n; i++ {
+		waitReplicas(t, servers, key(i), 1)
+	}
+	for i, srv := range servers[:2] {
+		relays, packs := counter(srv, "relays"), counter(srv, "relay_dgrams")
+		if relays != n {
+			t.Errorf("replica %d relayed %d entries, want %d", i, relays, n)
+		}
+		if head.IOPath() == "mmsg" && packs != uint64(wantPacks) {
+			t.Errorf("replica %d sent %d packs, want the greedy fill's %d", i, packs, wantPacks)
+		}
+		if packs == 0 || packs > n {
+			t.Errorf("replica %d sent %d packs for %d entries", i, packs, n)
+		}
+	}
+	if got := counter(servers[2], "replies"); got != n {
+		t.Errorf("tail sent %d acknowledgments, want %d", got, n)
+	}
+
+	// Sixteen flows' writes in one request: one commit, one entry, larger
+	// than a pack's budget and smaller than a datagram. It is sent whole.
+	c, err := DialUDP(head.Addr().String(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var big []*wire.Message
+	for i := 0; i < 16; i++ {
+		k := key(n + i)
+		if _, err := c.Request(&wire.Message{Type: wire.MsgLeaseNew, Key: k}); err != nil {
+			t.Fatal(err)
+		}
+		big = append(big, &wire.Message{Type: wire.MsgRepl, Key: k, Seq: 1, Vals: []uint64{1, 2, 3, 4, 5, 6, 7, 8}})
+	}
+	if least := len(big) * (2 + len(EncodeUpdate(nil, Update{Vals: big[0].Vals}))); least <= chainPackBytes {
+		t.Fatalf("the request's updates alone are %d bytes: not past the %d-byte budget", least, chainPackBytes)
+	}
+	relays, packs := counter(head, "relays"), counter(head, "relay_dgrams")
+	acks, err := c.RequestBatch(big)
+	if err != nil || len(acks) != 16 {
+		t.Fatalf("16-flow request: %d acks (%v)", len(acks), err)
+	}
+	if dr, dp := counter(head, "relays")-relays, counter(head, "relay_dgrams")-packs; dr != 1 || dp != 1 {
+		t.Errorf("16-flow request left the head as %d entries in %d packs, want 1 in 1", dr, dp)
+	}
+	if got := servers[1].Stats().BadDgrams + servers[2].Stats().BadDgrams; got != 0 {
+		t.Errorf("successors dropped %d datagrams", got)
+	}
+	for i := range big {
+		waitReplicas(t, servers, key(n+i), 1)
+	}
+	for i, srv := range servers {
+		if d, want := srv.Digest(), head.Digest(); d != want {
+			t.Errorf("replica %d digest %#x != head's %#x", i, d, want)
+		}
+	}
+}
+
 // chainFrameCase is one row of the hostile-frame table.
 type chainFrameCase struct {
 	name  string
 	frame []byte
-	bad   bool
+	acks  int // entries a tail acknowledges; 0 = malformed, dropped whole
 }
 
-// chainFrameCases is the hostile-frame table: a well-formed frame naming
-// requester, then malformations of it. It seeds FuzzChainFrame and drives
-// TestUDPHostileChainFrames. keys are the flows the frames name; on a
-// two-shard server they hash to different shards.
-func chainFrameCases(requester *net.UDPAddr) (cases []chainFrameCase, keys [2]packet.FiveTuple) {
+// chainFrameCases is the hostile-frame table: well-formed packs naming
+// requester, then malformations of them. It seeds FuzzChainFrame and
+// drives TestUDPHostileChainFrames. keys are the flows the packs name; on
+// a two-shard server keys[1] hashes to another shard than keys[0] and
+// keys[2], and every pack's first entry is for keys[0].
+func chainFrameCases(requester netip.AddrPort) (cases []chainFrameCase, keys [3]packet.FiveTuple) {
 	keys[0] = udpKey()
 	for keys[1] = keys[0]; keys[1].Hash()%2 == keys[0].Hash()%2; {
 		keys[1].SrcPort++
 	}
-	up := func(k packet.FiveTuple) Update {
-		return Update{Key: k, Vals: []uint64{5, 6}, LastSeq: 3, Owner: 1, LeaseExpiry: 1 << 60, Exists: true}
+	for keys[2] = keys[1]; keys[2].Hash()%2 != keys[0].Hash()%2; {
+		keys[2].SrcPort++
 	}
-	ack := []Output{{DstSwitch: 1, Msg: &wire.Message{Type: wire.MsgReplAck, Seq: 3, Key: keys[0], SwitchID: 1}}}
-	one, _ := appendChainFrame(nil, requester, []Update{up(keys[0])}, ack)
-	two, _ := appendChainFrame(nil, requester, []Update{up(keys[0]), up(keys[1])}, ack)
-	mut := func(b []byte, fn func([]byte) []byte) []byte { return fn(append([]byte(nil), b...)) }
-	setCount := func(n uint16) func([]byte) []byte {
-		return func(b []byte) []byte { binary.BigEndian.PutUint16(b[chainCountOff:], n); return b }
+	up := func(k packet.FiveTuple) []Update {
+		return []Update{{Key: k, Vals: []uint64{5, 6}, LastSeq: 3, Owner: 1, LeaseExpiry: 1 << 60, Exists: true}}
 	}
-	add := func(name string, frame []byte, bad bool) {
-		cases = append(cases, chainFrameCase{name, frame, bad})
+	ack := func(k packet.FiveTuple) []Output {
+		return []Output{{DstSwitch: 1, Msg: &wire.Message{Type: wire.MsgReplAck, Seq: 3, Key: k, SwitchID: 1}}}
 	}
-	add("valid one update", one, false)
-	add("update for another shard", two, true) // only on a two-shard server
-	add("truncated header", one[:chainHdrLen-9], true)
-	add("header only", one[:chainHdrLen], true)
-	add("count larger than payload", mut(one, setCount(3)), true)
-	add("zero updates", mut(one, setCount(0)), true)
-	add("oversized length prefix", mut(one, func(b []byte) []byte {
-		binary.BigEndian.PutUint16(b[chainHdrLen:], 0xFFFF)
-		return b
-	}), true)
-	add("update cut short", mut(one, func(b []byte) []byte {
-		binary.BigEndian.PutUint16(b[chainHdrLen:], 20) // inside the fixed fields
-		return b
-	}), true)
+	one := chainPack(requester, up(keys[0]), ack(keys[0]))
+	two := appendChainEntry(append([]byte(nil), one...), requester, up(keys[2]), ack(keys[2]))
+	const hdr = chainPackHdr + chainEntryHdr // through the first entry's header
+	mut := func(b []byte, fn func([]byte)) []byte { b = append([]byte(nil), b...); fn(b); return b }
+	// put16 overwrites the big-endian field at off: an entry's count is 4
+	// bytes before its header's end, its acknowledgment length 2.
+	put16 := func(off int, v uint16) func([]byte) {
+		return func(b []byte) { binary.BigEndian.PutUint16(b[off:], v) }
+	}
+	add := func(name string, frame []byte, acks int) {
+		cases = append(cases, chainFrameCase{name, frame, acks})
+	}
+	add("valid one entry", one, 1)
+	add("update for another shard", chainPack(requester, append(up(keys[0]), up(keys[1])...), ack(keys[0])), 0) // only on a two-shard server
+	add("truncated header", one[:hdr-9], 0)
+	add("header only", one[:hdr], 0)
+	add("count larger than payload", mut(one, put16(hdr-4, 3)), 0)
+	add("zero updates", mut(one, put16(hdr-4, 0)), 0)
+	add("oversized length prefix", mut(one, put16(hdr, 0xFFFF)), 0)
+	add("update cut short", mut(one, put16(hdr, 20)), 0) // inside the fixed fields
+	add("valid two entries", two, 2)
+	add("second entry truncated", two[:len(two)-len(one)/2], 0)
+	add("second entry without updates", mut(two, put16(len(one)+chainEntryHdr-4, 0)), 0)
+	add("second entry for another shard", appendChainEntry(append([]byte(nil), one...), requester, up(keys[1]), ack(keys[1])), 0) // two-shard only
+	add("ack length past the end", mut(two, func(b []byte) {
+		at := len(one) + chainEntryHdr - 2
+		binary.BigEndian.PutUint16(b[at:], binary.BigEndian.Uint16(b[at:])+1)
+	}), 0)
+	add("trailing bytes shorter than an entry header", append(append([]byte(nil), one...), make([]byte, chainEntryHdr-1)...), 0)
 	return cases, keys
 }
 
-// TestUDPHostileChainFrames: every malformed frame is dropped whole —
-// counted in bad_dgrams, state untouched, nothing sent — while the
-// well-formed one beside it in the table is applied and acknowledged.
+// TestUDPHostileChainFrames: every malformed pack is dropped whole —
+// counted in bad_dgrams, state untouched (its well-formed first entry
+// included), nothing sent — while the well-formed ones beside them in the
+// table are applied and every entry acknowledged.
 func TestUDPHostileChainFrames(t *testing.T) {
 	srv, err := NewUDPServer("127.0.0.1:0", "", Config{LeasePeriod: time.Second}, WithUDPShards(2))
 	if err != nil {
@@ -350,10 +517,10 @@ func TestUDPHostileChainFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	cases, keys := chainFrameCases(conn.LocalAddr().(*net.UDPAddr))
+	cases, keys := chainFrameCases(localAddrPort(conn))
 	buf := make([]byte, 2048)
 	for _, tc := range cases {
-		if !tc.bad {
+		if tc.acks > 0 {
 			continue
 		}
 		before, digest := srv.Stats().BadDgrams, srv.Digest()
@@ -376,75 +543,104 @@ func TestUDPHostileChainFrames(t *testing.T) {
 		}
 		conn.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
 		if n, _, err := conn.ReadFromUDP(buf); err == nil {
-			t.Errorf("%s: %d bytes sent to the frame's requester", tc.name, n)
+			t.Errorf("%s: %d bytes sent to the pack's requester", tc.name, n)
 		}
 	}
-	// The control: the same bytes, well formed, go through — this server
-	// has no successor, so it is the tail and acknowledges.
-	if _, err := conn.WriteToUDP(cases[0].frame, srv.Addr().(*net.UDPAddr)); err != nil {
-		t.Fatal(err)
+	// The controls: the same bytes, well formed, go through — this server
+	// has no successor, so it is the tail and acknowledges entry by entry.
+	for _, tc := range cases {
+		if tc.acks == 0 {
+			continue
+		}
+		if _, err := conn.WriteToUDP(tc.frame, srv.Addr().(*net.UDPAddr)); err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range []packet.FiveTuple{keys[0], keys[2]}[:tc.acks] {
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			n, _, err := conn.ReadFromUDP(buf)
+			if err != nil {
+				t.Fatalf("%s: entry %d not acknowledged: %v", tc.name, i, err)
+			}
+			var ack wire.Message
+			if err := ack.Unmarshal(buf[:n]); err != nil || ack.Type != wire.MsgReplAck || ack.Seq != 3 || ack.Key != want {
+				t.Fatalf("%s: ack %d = %+v (%v), want seq 3 of %v", tc.name, i, ack, err, want)
+			}
+			if vals, seq, ok := srv.State(want); !ok || seq != 3 || !reflect.DeepEqual(vals, []uint64{5, 6}) {
+				t.Fatalf("%s: applied state of %v = %v seq %d ok=%v", tc.name, want, vals, seq, ok)
+			}
+		}
 	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	n, _, err := conn.ReadFromUDP(buf)
-	if err != nil {
-		t.Fatalf("well-formed frame not acknowledged: %v", err)
-	}
-	var ack wire.Message
-	if err := ack.Unmarshal(buf[:n]); err != nil || ack.Type != wire.MsgReplAck || ack.Seq != 3 {
-		t.Fatalf("ack = %+v (%v)", ack, err)
-	}
-	if vals, seq, ok := srv.State(keys[0]); !ok || seq != 3 || !reflect.DeepEqual(vals, []uint64{5, 6}) {
-		t.Fatalf("applied state = %v seq %d ok=%v", vals, seq, ok)
+	conn.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
+	if n, _, err := conn.ReadFromUDP(buf); err == nil {
+		t.Errorf("%d bytes beyond one acknowledgment per entry", n)
 	}
 }
 
-// TestChainFrameRequesterRoundTrip: the frame names IPv4 and IPv6
+// TestChainFrameRequesterRoundTrip: an entry names IPv4 and IPv6
 // requesters alike, and none at all.
 func TestChainFrameRequesterRoundTrip(t *testing.T) {
 	for _, s := range []string{"127.0.0.1:9501", "[2001:db8::7]:40000", ""} {
-		var requester *net.UDPAddr
 		var want netip.AddrPort
 		if s != "" {
 			want = netip.MustParseAddrPort(s)
-			requester = net.UDPAddrFromAddrPort(want)
 		}
 		outs := []Output{{Msg: &wire.Message{Type: wire.MsgReplAck, Seq: 1, Key: udpKey()}}}
-		frame, ack := appendChainFrame(nil, requester, []Update{{Key: udpKey(), Exists: true}}, outs)
-		if got := frameRequester(frame); got.Port() != want.Port() || (s != "" && got != want) {
+		e, rest, err := nextChainEntry(chainPack(want, []Update{{Key: udpKey(), Exists: true}}, outs)[chainPackHdr:])
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("requester %q: %d bytes after the entry (%v)", s, len(rest), err)
+		}
+		if got := e.requester; got.Port() != want.Port() || (s != "" && got != want) {
 			t.Errorf("requester %q decoded as %v", s, got)
 		}
-		if (len(ack) == 0) != (s == "") {
-			t.Errorf("requester %q: %d ack bytes", s, len(ack))
+		if (len(e.ack) == 0) != (s == "") {
+			t.Errorf("requester %q: %d ack bytes", s, len(e.ack))
 		}
 	}
 }
 
 // FuzzChainFrame holds the decoder to its contract on arbitrary bytes:
-// no panic, whole-frame-or-nothing, and whatever it accepts survives a
-// re-encode and applies to a shard. It touches no socket.
+// no panic, whole-pack-or-nothing, the tail's walk of an accepted pack
+// covers exactly its bytes in as many entries as the decoder counted, and
+// whatever was accepted survives a re-encode and applies to a shard. It
+// touches no socket.
 func FuzzChainFrame(f *testing.F) {
-	cases, _ := chainFrameCases(&net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9501})
+	cases, _ := chainFrameCases(netip.MustParseAddrPort("127.0.0.1:9501"))
 	for _, tc := range cases {
 		f.Add(tc.frame)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		key, routable := frameFirstKey(b)
-		ups, ack, err := decodeChainFrame(b, nil)
+		key, routable := packFirstKey(b)
+		ups, entries, err := decodeChainPack(b, nil, nil)
 		if err != nil {
 			return
 		}
-		if len(ups) == 0 || len(ups) != int(binary.BigEndian.Uint16(b[chainCountOff:])) {
-			t.Fatalf("accepted %d updates for count field %d", len(ups), binary.BigEndian.Uint16(b[chainCountOff:]))
+		walked, updates := 0, 0
+		for rest := b[chainPackHdr:]; len(rest) > 0; walked++ {
+			e, after, err := nextChainEntry(rest)
+			if err != nil {
+				t.Fatalf("the tail's walk fails at entry %d of an accepted pack: %v", walked, err)
+			}
+			if chainEntryHdr+len(e.ups)+len(e.ack)+len(after) != len(rest) {
+				t.Fatalf("entry %d: %d+%d+%d bytes and %d after it, of %d", walked, chainEntryHdr, len(e.ups), len(e.ack), len(after), len(rest))
+			}
+			updates += int(binary.BigEndian.Uint16(rest[chainEntryHdr-4:]))
+			rest = after
 		}
-		if !bytes.HasSuffix(b, ack) {
-			t.Fatal("acknowledgment part is not the frame's tail")
+		if entries == 0 || walked != entries || len(ups) != updates || updates < entries {
+			t.Fatalf("decoder: %d entries, %d updates; walk: %d entries, count fields sum to %d", entries, len(ups), walked, updates)
 		}
 		if !routable || key != ups[0].Key {
 			t.Fatalf("receiver routes by %v (ok=%v), shard applies %v", key, routable, ups[0].Key)
 		}
-		again, _, err := decodeChainFrame(func() []byte { fr, _ := appendChainFrame(nil, nil, ups, nil); return fr }(), nil)
-		if err != nil || !reflect.DeepEqual(again, ups) {
-			t.Fatalf("re-encode changed the updates: %v\n%+v\n%+v", err, ups, again)
+		var arena []uint64
+		if pooled, _, err := decodeChainPack(b, nil, &arena); err != nil || !reflect.DeepEqual(pooled, ups) {
+			t.Fatalf("decoding into an arena changed the updates: %v\n%+v\n%+v", err, ups, pooled)
+		}
+		if len(ups) <= 0xFFFF {
+			again, _, err := decodeChainPack(chainPack(netip.AddrPort{}, ups, nil), nil, nil)
+			if err != nil || !reflect.DeepEqual(again, ups) {
+				t.Fatalf("re-encode changed the updates: %v\n%+v\n%+v", err, ups, again)
+			}
 		}
 		sh := NewShard(Config{})
 		for _, up := range ups {

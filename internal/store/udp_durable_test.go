@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -79,10 +80,12 @@ func TestUDPDurableRestartRecovers(t *testing.T) {
 
 // gateBackend wraps a durable.Backend so a test can hold a shard inside
 // File.Sync: while armed, Sync announces itself on entered and blocks
-// until release is closed.
+// until release is closed. A Sync that begins while fail is set returns an
+// error instead of syncing.
 type gateBackend struct {
 	durable.Backend
 	armed   atomic.Bool
+	fail    atomic.Bool
 	entered chan struct{} // one token per Sync that found the gate armed
 	release chan struct{}
 }
@@ -101,6 +104,9 @@ type gateFile struct {
 }
 
 func (f *gateFile) Sync() error {
+	if f.g.fail.Load() {
+		return errors.New("injected sync failure")
+	}
 	if f.g.armed.Load() {
 		f.g.entered <- struct{}{}
 		<-f.g.release
@@ -240,5 +246,121 @@ func TestUDPGroupCommitSelfClocked(t *testing.T) {
 		if !ok || seq != 1 || len(vals) != 1 || vals[0] != uint64(100+i) {
 			t.Errorf("flow %d after reopen: vals=%v seq=%d ok=%v", i, vals, seq, ok)
 		}
+	}
+}
+
+// TestUDPChainPacksWaitForSync pins durable ⊇ forwarded ⊇ acked on a
+// chained head: no pack leaves before the fsync covering its entries; a
+// relink while the pack is held applies to it; and when a group's fsync
+// fails, its sealed and open packs are dropped alike — nothing forwarded,
+// nothing acknowledged — until retransmissions re-propagate the writes.
+func TestUDPChainPacksWaitForSync(t *testing.T) {
+	const followers = 20 // more entries than one pack holds
+	cfg := Config{LeasePeriod: time.Minute}
+	tails := startUDPChain(t, 1, cfg)
+	tails = append(tails, startUDPChain(t, 1, cfg)...)
+	gate := &gateBackend{Backend: durable.NewMemBackend(), entered: make(chan struct{}, 1), release: make(chan struct{})}
+	head, err := NewUDPServer("127.0.0.1:0", tails[0].Addr().String(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer head.Close()
+	if _, err := head.EnableDurability(gate, DurabilityConfig{Enabled: true}); err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = head.Serve() }()
+	c, err := DialUDP(head.Addr().String(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	key := func(i int) packet.FiveTuple { k := udpKey(); k.SrcPort = uint16(3000 + i); return k }
+	for i := 0; i <= followers+1; i++ {
+		if _, err := c.Request(&wire.Message{Type: wire.MsgLeaseNew, Key: key(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write := func(i int) *wire.Message {
+		return &wire.Message{Type: wire.MsgRepl, Key: key(i), Seq: 1, Vals: []uint64{uint64(i)}, SwitchID: 1}
+	}
+	send := func(i int) {
+		t.Helper()
+		if _, err := c.conn.WriteToUDP(write(i).Marshal(nil), c.head); err != nil {
+			t.Fatal(err)
+		}
+	}
+	relays := head.Obs().NS("udp-shard0").Counter("relay_dgrams")
+	base, rx0, rx1 := relays.Value(), tails[0].Stats().RxDgrams, tails[1].Stats().RxDgrams
+	handled := head.Stats().PerShard[0].Dgrams
+
+	// Write 0 parks the head in its fsync; the followers queue behind it and
+	// will be one group, whose fsync fails.
+	gate.armed.Store(true)
+	send(0)
+	select {
+	case <-gate.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("head never reached Sync for the first write")
+	}
+	gate.armed.Store(false)
+	gate.fail.Store(true)
+	for i := 1; i <= followers; i++ {
+		send(i)
+	}
+	for deadline := time.Now().Add(5 * time.Second); head.Stats().PerShard[0].QueueDepth != followers; {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue depth %d, want %d", head.Stats().PerShard[0].QueueDepth, followers)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := head.SetNextAddr(tails[1].Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	if relays.Value() != base || tails[0].Stats().RxDgrams != rx0 || tails[1].Stats().RxDgrams != rx1 {
+		t.Fatal("a pack left the head before the fsync covering it returned")
+	}
+	close(gate.release)
+
+	// Write 0's pack was held across the relink: the new successor gets it.
+	buf := make([]byte, 2048)
+	c.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	n, _, err := c.conn.ReadFromUDP(buf)
+	if acks := decodeAcks(buf[:n]); err != nil || len(acks) != 1 || acks[0].Key != key(0) {
+		t.Fatalf("first write after the relink: acks %+v (%v)", acks, err)
+	}
+	// A barrier write behind the failed group: once it is acknowledged,
+	// anything that group forwarded would have arrived before it.
+	for deadline := time.Now().Add(5 * time.Second); head.Stats().PerShard[0].Dgrams != handled+1+followers; {
+		if time.Now().After(deadline) {
+			t.Fatal("head never processed the queued group")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	gate.fail.Store(false)
+	if ack, err := c.Request(write(followers + 1)); err != nil || ack.Key != key(followers+1) {
+		t.Fatalf("barrier write: %+v (%v): an ack of the failed group escaped, or none came", ack, err)
+	}
+	if got := relays.Value() - base; got != 2 {
+		t.Errorf("head sent %d packs, want 2: the first write's and the barrier's", got)
+	}
+	if got := tails[1].Stats().RxDgrams - rx1; got != 2 {
+		t.Errorf("new successor received %d datagrams, want 2", got)
+	}
+	if got := tails[0].Stats().RxDgrams - rx0; got != 0 {
+		t.Errorf("old successor received %d datagrams after the relink", got)
+	}
+	for i := 1; i <= followers; i++ {
+		if _, _, ok := tails[1].State(key(i)); ok {
+			t.Errorf("write %d reached the successor though its fsync failed", i)
+		}
+	}
+	// The switch retransmits; the head re-propagates what it already holds.
+	for i := 1; i <= followers; i++ {
+		if ack, err := c.Request(write(i)); err != nil || ack.Type != wire.MsgReplAck {
+			t.Fatalf("retransmission of write %d: %+v (%v)", i, ack, err)
+		}
+	}
+	if d, want := tails[1].Digest(), head.Digest(); d != want {
+		t.Errorf("successor digest %#x != head's %#x", d, want)
 	}
 }

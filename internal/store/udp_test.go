@@ -1,7 +1,6 @@
 package store
 
 import (
-	"net"
 	"testing"
 	"time"
 
@@ -180,92 +179,5 @@ func TestUDPClientValidation(t *testing.T) {
 	}
 	if _, err := DialUDP("not-an-address::::", 1); err == nil {
 		t.Error("bad address accepted")
-	}
-}
-
-// TestUDPInternTableBoundedAndCorrect floods a chain tail's address
-// intern table past its bound with handshakes from distinct source
-// ports — each must be answered at its own port — then checks that a
-// relayed write's ack still reaches the original requester after the
-// reset dropped its interned origin, and that the table stayed bounded.
-func TestUDPInternTableBoundedAndCorrect(t *testing.T) {
-	cfg := Config{LeasePeriod: time.Minute}
-	tail, err := NewUDPServer("127.0.0.1:0", "", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tailDone := make(chan error, 1)
-	go func() { tailDone <- tail.Serve() }()
-	head, err := NewUDPServer("127.0.0.1:0", tail.Addr().String(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = head.Serve() }()
-	defer head.Close()
-
-	c, err := DialUDP(head.Addr().String(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Request(&wire.Message{Type: wire.MsgLeaseNew, Key: udpKey()}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Request(&wire.Message{Type: wire.MsgRepl, Key: udpKey(), Seq: 1, Vals: []uint64{1}}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Sockets stay open a wave at a time, so a reply sent to the wrong
-	// interned address would land on a live neighbour and be caught.
-	const wave = 128
-	tailAddr := tail.Addr().(*net.UDPAddr)
-	ports := make(map[int]bool)
-	buf := make([]byte, 2048)
-	for seq := uint64(0); len(ports) <= maxInternAddrs+wave; {
-		conns := make([]*net.UDPConn, wave)
-		for i := range conns {
-			conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			conns[i] = conn
-			ports[conn.LocalAddr().(*net.UDPAddr).Port] = true
-			hello := wire.Message{Type: wire.MsgHello, Key: udpKey(), Seq: seq + uint64(i), SwitchID: 7}
-			if _, err := conn.WriteToUDP(hello.Marshal(nil), tailAddr); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i, conn := range conns {
-			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-			n, _, err := conn.ReadFromUDP(buf)
-			if err != nil {
-				t.Fatalf("hello %d: no reply at its own port: %v", seq+uint64(i), err)
-			}
-			var ack wire.Message
-			if err := ack.Unmarshal(buf[:n]); err != nil || ack.Type != wire.MsgHelloAck || ack.Seq != seq+uint64(i) {
-				t.Fatalf("hello %d: got %+v (err %v)", seq+uint64(i), ack, err)
-			}
-			conn.Close()
-		}
-		seq += wave
-	}
-
-	// The requester's interned origin is gone from the tail's table; the
-	// next relayed write must re-intern it and ack the same socket.
-	ack, err := c.Request(&wire.Message{Type: wire.MsgRepl, Key: udpKey(), Seq: 2, Vals: []uint64{2}})
-	if err != nil {
-		t.Fatalf("relayed write after intern reset: %v", err)
-	}
-	if ack.Type != wire.MsgReplAck || ack.Seq != 2 {
-		t.Fatalf("ack = %+v", ack)
-	}
-
-	tail.Close()
-	<-tailDone // receivers have exited: their tables are safe to read
-	for _, r := range tail.recvs {
-		if n := len(r.addrs); n > maxInternAddrs {
-			t.Errorf("receiver %d interned %d addresses, bound is %d (%d distinct sources seen)",
-				r.idx, n, maxInternAddrs, len(ports))
-		}
 	}
 }

@@ -27,7 +27,8 @@ func (s *UDPServer) SetNextAddr(addr string) error {
 	if err != nil {
 		return fmt.Errorf("store: resolve successor %q: %w", addr, err)
 	}
-	s.next.Store(na)
+	ap := unmapped(na)
+	s.next.Store(&ap)
 	return nil
 }
 
@@ -42,7 +43,9 @@ func (s *UDPServer) NextAddr() string {
 // SetChainPos announces the server's position in its chain (0 = head).
 // A positive position arms the misroute guard: direct (non-relayed)
 // mutating requests are dropped, because a switch writing to a
-// mid-chain replica would bypass the head's relay ordering.
+// mid-chain replica would bypass the head's relay ordering. Position 0
+// arms its mirror image: a head has no predecessor, so chain packs sent
+// to it are dropped (both count in udp/misroute_drops).
 func (s *UDPServer) SetChainPos(pos int) { s.chainPos.Store(int32(pos)) }
 
 // ChainPos reports the announced position (-1 until the control plane
@@ -50,11 +53,11 @@ func (s *UDPServer) SetChainPos(pos int) { s.chainPos.Store(int32(pos)) }
 func (s *UDPServer) ChainPos() int { return int(s.chainPos.Load()) }
 
 // SetViewNum records the control plane's view number. It is the data-path
-// fence — every chain frame sent carries it, one received under any other
+// fence — every chain pack sent carries it, one received under any other
 // is dropped — and hello replies echo it so clients see membership churn.
 func (s *UDPServer) SetViewNum(v uint64) { s.view.Store(v) }
 
-// ViewNum reports the view chain frames are currently stamped and fenced
+// ViewNum reports the view chain packs are currently stamped and fenced
 // with (0 until a control plane announces one).
 func (s *UDPServer) ViewNum() uint64 { return s.view.Load() }
 

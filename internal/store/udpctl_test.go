@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"net"
 	"testing"
 	"time"
 
@@ -92,6 +93,52 @@ func TestUDPMisrouteGuard(t *testing.T) {
 	c.Timeout, c.Retries = 200*time.Millisecond, 5
 	if _, err := c.Request(&wire.Message{Type: wire.MsgLeaseNew, Key: udpKey()}); err != nil {
 		t.Fatalf("lease after head announcement: %v", err)
+	}
+}
+
+// TestUDPHeadDropsChainPacks pins the guard's mirror image: a server the
+// control plane placed at the head has no predecessor, so a well-formed
+// pack in its own view is dropped — counted, nothing applied, nothing
+// acknowledged. With no control plane, or placed downstream, the same
+// bytes are applied and acknowledged.
+func TestUDPHeadDropsChainPacks(t *testing.T) {
+	srv := startUDPChain(t, 1, Config{LeasePeriod: time.Second})[0]
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	buf := make([]byte, 2048)
+	for seq, pos := range []int{0, -1, 2} {
+		srv.SetChainPos(pos)
+		up := Update{Key: udpKey(), Vals: []uint64{7}, LastSeq: uint64(seq + 1), Owner: 1, LeaseExpiry: 1 << 60, Exists: true}
+		ack := []Output{{DstSwitch: 1, Msg: &wire.Message{Type: wire.MsgReplAck, Seq: up.LastSeq, Key: up.Key, SwitchID: 1}}}
+		drops := srv.misrouteDrops.Value()
+		if _, err := conn.WriteToUDP(chainPack(localAddrPort(conn), []Update{up}, ack), srv.Addr().(*net.UDPAddr)); err != nil {
+			t.Fatal(err)
+		}
+		if pos != 0 {
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			n, _, err := conn.ReadFromUDP(buf)
+			var got wire.Message
+			if err != nil || got.Unmarshal(buf[:n]) != nil || got.Seq != up.LastSeq {
+				t.Fatalf("position %d: pack not acknowledged: %+v (%v)", pos, got, err)
+			}
+			continue
+		}
+		for deadline := time.Now().Add(5 * time.Second); srv.misrouteDrops.Value() == drops; {
+			if time.Now().After(deadline) {
+				t.Fatal("head: misroute_drops never moved")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		conn.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
+		if n, _, err := conn.ReadFromUDP(buf); err == nil {
+			t.Errorf("head: %d bytes sent to the pack's requester", n)
+		}
+		if _, _, ok := srv.State(up.Key); ok || srv.RelaySeen() {
+			t.Errorf("head: pack applied (flow installed %v, relay seen %v)", ok, srv.RelaySeen())
+		}
 	}
 }
 

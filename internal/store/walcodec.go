@@ -50,7 +50,9 @@ func putVals(b []byte, vals []uint64) []byte {
 	return b
 }
 
-func getVals(b []byte) ([]uint64, []byte, error) {
+// getVals reads a value list into a fresh slice, or — for a caller that
+// copies what it keeps before reusing the arena — into the end of *arena.
+func getVals(b []byte, arena *[]uint64) ([]uint64, []byte, error) {
 	if len(b) < 2 {
 		return nil, nil, fmt.Errorf("store: truncated val count")
 	}
@@ -60,11 +62,15 @@ func getVals(b []byte) ([]uint64, []byte, error) {
 		return nil, nil, fmt.Errorf("store: truncated vals")
 	}
 	var vals []uint64
-	if n > 0 {
+	if n > 0 && arena != nil {
+		at := len(*arena)
+		*arena = append(*arena, make([]uint64, n)...)
+		vals = (*arena)[at : at+n : at+n]
+	} else if n > 0 {
 		vals = make([]uint64, n)
-		for i := range vals {
-			vals[i] = binary.LittleEndian.Uint64(b[8*i:])
-		}
+	}
+	for i := range vals {
+		vals[i] = binary.LittleEndian.Uint64(b[8*i:])
 	}
 	return vals, b[8*n:], nil
 }
@@ -115,8 +121,12 @@ func EncodeUpdate(dst []byte, up Update) []byte {
 	return dst
 }
 
-// DecodeUpdate parses a WAL record payload written by EncodeUpdate.
-func DecodeUpdate(b []byte) (Update, error) {
+// DecodeUpdate parses a WAL record payload written by EncodeUpdate. The
+// Update owns its values.
+func DecodeUpdate(b []byte) (Update, error) { return decodeUpdate(b, nil) }
+
+// decodeUpdate is DecodeUpdate with the values placed by getVals.
+func decodeUpdate(b []byte, arena *[]uint64) (Update, error) {
 	var up Update
 	if len(b) < 1 {
 		return up, fmt.Errorf("store: empty update record")
@@ -141,7 +151,7 @@ func DecodeUpdate(b []byte) (Update, error) {
 		return up, err
 	}
 	up.LeaseExpiry = int64(u)
-	if up.Vals, b, err = getVals(b); err != nil {
+	if up.Vals, b, err = getVals(b, arena); err != nil {
 		return up, err
 	}
 	if up.HasSnap {
@@ -151,7 +161,7 @@ func DecodeUpdate(b []byte) (Update, error) {
 		if up.SnapSlot, b, err = getU32(b); err != nil {
 			return up, err
 		}
-		if up.SnapVals, _, err = getVals(b); err != nil {
+		if up.SnapVals, _, err = getVals(b, arena); err != nil {
 			return up, err
 		}
 	}
@@ -235,7 +245,7 @@ func (s *Shard) LoadCheckpoint(b []byte) error {
 			return err
 		}
 		f.leaseExpiry = int64(u)
-		if f.vals, b, err = getVals(b); err != nil {
+		if f.vals, b, err = getVals(b, nil); err != nil {
 			return err
 		}
 		if f.snapEpoch, b, err = getU32(b); err != nil {
@@ -246,7 +256,7 @@ func (s *Shard) LoadCheckpoint(b []byte) error {
 		}
 		f.lastSnapTime = int64(u)
 		if flags&ckFlagHasImage != 0 {
-			if f.lastSnapshot, b, err = getVals(b); err != nil {
+			if f.lastSnapshot, b, err = getVals(b, nil); err != nil {
 				return err
 			}
 		}

@@ -1,6 +1,6 @@
 #!/bin/sh
 # e2e_bench_smoke.sh — guard against a timer returning to the real-UDP
-# commit path.
+# commit path, and against commits going down the chain unpacked.
 #
 # Runs the repo benchmark's 3-replica chain twice for 3 s, volatile
 # (chain3-pkt) and with a WAL per replica (chain3-wal-pkt), requires
@@ -11,6 +11,12 @@
 # the commit path (Go's netpoller rounds an idle-P timer to ~1 ms)
 # drags it to ~0.28.
 #
+# A third, traced chain3-pkt run gives a second host-independent ratio:
+# the CPU one more replica costs a write (udp.hop_cpu_us) must be at most
+# 0.15 of the CPU of the whole write (cpu_us_per_write) — 0.06 with a
+# commit group's entries packed into MTU-sized chain datagrams, 0.24 with
+# one datagram per commit.
+#
 # Usage:
 #   scripts/e2e_bench_smoke.sh
 set -eu
@@ -19,9 +25,12 @@ cd "$(dirname "$0")/.."
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
-# run prints the goodput_wps of one workload after checking its verdict.
+# run prints the goodput_wps of one workload after checking its verdict,
+# and leaves the benchmark's report in $out/report. Arguments after the
+# workload go to the benchmark.
 run() {
-    last=$(go run ./bench/e2e -workload "$1" -seconds 3 -out "$out" | tail -n 1)
+    go run ./bench/e2e -seconds 3 -out "$out" -workload "$@" >"$out/report"
+    last=$(tail -n 1 "$out/report")
     case "$last" in
     '{"correct":true,'*'"failed":0,'*) ;;
     *)
@@ -45,6 +54,17 @@ awk -v w="$wal" -v v="$vol" 'BEGIN {
     exit !(r >= 0.6)
 }' || {
     echo "FAIL: durable chain goodput fell below 0.6x volatile — is something waiting on the commit path?" >&2
+    exit 1
+}
+
+echo "== chain3-pkt (traced: per-hop CPU) =="
+run chain3-pkt -trace 1 >/dev/null
+# The report's first cpu_us_per_write row is the end-to-end metric, in us.
+awk '$1 == "udp.hop_cpu_us" { h = $2 } $1 == "cpu_us_per_write" && !c { c = $2 } END {
+    printf "hop CPU / write CPU %.2f (%s / %s us, ceiling 0.15)\n", h / c, h, c
+    exit !(c > 0 && h / c <= 0.15)
+}' "$out/report" || {
+    echo "FAIL: one more replica costs over 0.15 of a write's CPU — is every commit going down the chain as its own datagram again?" >&2
     exit 1
 }
 echo "OK"

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race check bench bench-json fmt lint chaos
+.PHONY: all build test race check bench fmt lint chaos
 
 all: build
 
@@ -10,26 +10,24 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-detector pass over the packages with cross-goroutine surface:
-# internal/obs (registries read while the simulator writes),
-# internal/core (hot-path atomic counters), and internal/runner (the
-# parallel trial executor; its determinism tests double as race proof).
+# Race-detector pass over the packages with cross-goroutine surface —
+# the same list scripts/check.sh races: internal/obs (registries read
+# while the simulator writes), internal/core (hot-path atomic counters),
+# internal/runner (the parallel trial executor; its determinism tests
+# double as race proof), and internal/store + internal/ring (the sharded
+# real-UDP server and its SPSC queues).
 race:
-	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/runner/...
+	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/runner/... \
+		./internal/store/... ./internal/ring/...
 
 # The CI gate: gofmt, vet, build, full tests, race pass.
 check:
 	sh scripts/check.sh
 
+# Micro- and figure benchmarks; the repo's one perf series is
+# BENCHMARK.json, run with `go run ./bench/e2e`.
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
-
-# The full baseline pipeline: micro + figure benches + the
-# sequential-vs-parallel wall-clock comparison, folded into a
-# benchstat-friendly BENCH_<date>.json (see EXPERIMENTS.md). Set
-# BASELINE=BENCH_old.json to embed deltas against a previous snapshot.
-bench-json:
-	sh scripts/bench.sh
 
 fmt:
 	gofmt -w .

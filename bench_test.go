@@ -199,7 +199,8 @@ func BenchmarkEngineFailover(b *testing.B) {
 // sweep: per-chain offered load held constant while the chain count
 // grows 1→8, flows routed by the consistent-hash ring. Reports the
 // single-chain and 8-chain aggregate goodput, the scale-up ratio, and
-// the worst per-chain deviation — the numbers the CI perf gate floors.
+// the worst per-chain deviation — the numbers whose floors
+// internal/experiments' TestFlowspaceScaleShape asserts.
 func BenchmarkFlowspaceScale(b *testing.B) {
 	skipUnderRace(b)
 	for i := 0; i < b.N; i++ {
@@ -216,7 +217,8 @@ func BenchmarkFlowspaceScale(b *testing.B) {
 // workload against store chains spanning three datacenters, inter-DC
 // RTT swept 0–80 ms, linearizable vs bounded-inconsistency mode.
 // Reports the 40 ms goodputs and the bounded-over-linearizable speedup
-// — the numbers the CI perf gate floors.
+// — the numbers whose floors internal/experiments'
+// TestWANConsistencyShape asserts.
 func BenchmarkWANConsistency(b *testing.B) {
 	skipUnderRace(b)
 	for i := 0; i < b.N; i++ {

@@ -9,8 +9,8 @@
 //
 // The server shards flows across -shards owner goroutines (default: one
 // per core) fed by batched recvmmsg reads, and egresses through
-// per-shard sendmmsg batches; -rx-batch/-tx-batch size the syscall
-// batches (see DESIGN.md "Per-core sharding on the real-UDP path").
+// per-shard sendmmsg batches of up to 32 datagrams each (see DESIGN.md
+// "Per-core sharding on the real-UDP path").
 // Every member of one chain must run the same -shards: a commit goes to
 // the same-numbered shard of the successor. Pin it when hosts differ.
 //
@@ -64,9 +64,6 @@ func main() {
 	maxWaiting := flag.Int("max-waiting", 0,
 		"per-flow buffered lease-request queue bound (0 = default)")
 	shards := flag.Int("shards", 0, "shard-owner goroutines; flows hash to shards (0 = one per core); must be equal across a chain")
-	rxBatch := flag.Int("rx-batch", 0, "datagrams per batched receive syscall (0 = default 32)")
-	txBatch := flag.Int("tx-batch", 0, "datagrams per batched send syscall (0 = default 32)")
-	ringSize := flag.Int("ring", 0, "receiver→shard queue capacity (0 = default 1024)")
 	portableIO := flag.Bool("portable-io", false,
 		"force one-datagram-per-syscall IO even where recvmmsg/sendmmsg is available")
 	walDir := flag.String("wal-dir", "",
@@ -88,13 +85,7 @@ func main() {
 	if *shards == 0 {
 		*shards = runtime.NumCPU()
 	}
-	opts := []store.UDPOption{
-		store.WithUDPShards(*shards),
-		store.WithUDPBatch(*rxBatch, *txBatch),
-	}
-	if *ringSize > 0 {
-		opts = append(opts, store.WithUDPRing(*ringSize))
-	}
+	opts := []store.UDPOption{store.WithUDPShards(*shards)}
 	if *portableIO {
 		opts = append(opts, store.WithUDPPortableIO())
 	}

@@ -45,7 +45,7 @@ func main() {
 	writes := flag.Int("writes", 100, "replication writes per flow")
 	batch := flag.Int("batch", 16, "messages per request datagram")
 	syscallBatch := flag.Int("syscall-batch", 0, "datagrams per client syscall batch (0 = max(batch, 32))")
-	window := flag.Int("window", 0, "per-flow unacked bound (0 = 4*batch)")
+	window := flag.Int("window", 0, "per-flow unacked bound (0 = 4*syscall-batch, 128 at the defaults)")
 	stall := flag.Duration("stall", 100*time.Millisecond, "retransmission timer")
 	timeout := flag.Duration("timeout", 60*time.Second, "overall sweep deadline")
 	portable := flag.Bool("portable-io", false, "force one-datagram-per-syscall client IO")

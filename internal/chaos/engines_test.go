@@ -24,7 +24,10 @@ func violationStrings(r Result) []string {
 // TestEngineVerdictEquivalence runs the same seeded campaigns on the
 // chain and quorum engines and asserts the violation verdicts are
 // identical — the contract that lets the chaos suite certify a new
-// engine without new checkers. Clean seeds must be clean on both.
+// engine without new checkers. Clean seeds must be clean on both. A
+// third run per campaign, chain with switch egress batching off, must
+// verdict identically too: coalescing may change framing and timing,
+// never a protocol outcome.
 func TestEngineVerdictEquivalence(t *testing.T) {
 	seeds := 20
 	if testing.Short() {
@@ -44,12 +47,12 @@ func TestEngineVerdictEquivalence(t *testing.T) {
 			campaign{seed: s, profile: "migrate", chains: 4})
 	}
 
-	// Each (seed, mode, engine) campaign owns a private simulator, so the
-	// whole matrix fans across the worker pool.
-	units := make([]func() [2]Result, len(cases))
+	// Each (seed, mode, engine, batching) campaign owns a private
+	// simulator, so the whole matrix fans across the worker pool.
+	units := make([]func() [3]Result, len(cases))
 	for i, c := range cases {
 		c := c
-		units[i] = func() [2]Result {
+		units[i] = func() [3]Result {
 			base := Config{Seed: c.seed, Bounded: c.bounded, Chains: c.chains,
 				Duration: 500 * time.Millisecond}
 			if c.profile != "" {
@@ -58,32 +61,40 @@ func TestEngineVerdictEquivalence(t *testing.T) {
 			chainCfg := base
 			quorumCfg := base
 			quorumCfg.Engine = repl.EngineQuorum
-			return [2]Result{Run(chainCfg), Run(quorumCfg)}
+			unbatchedCfg := base
+			unbatchedCfg.BatchWindow = -1
+			return [3]Result{Run(chainCfg), Run(quorumCfg), Run(unbatchedCfg)}
 		}
 	}
 	results := runner.Map(0, units)
 
-	for i, pair := range results {
+	for i, runs := range results {
 		c := cases[i]
-		chain, quorum := pair[0], pair[1]
-		cv, qv := violationStrings(chain), violationStrings(quorum)
-		if len(cv) != len(qv) {
-			t.Errorf("seed %d %s: chain %d violations %v, quorum %d violations %v",
-				c.seed, modeName(c.bounded), len(cv), cv, len(qv), qv)
-			continue
-		}
-		for j := range cv {
-			if cv[j] != qv[j] {
-				t.Errorf("seed %d %s violation %d: chain %q vs quorum %q",
-					c.seed, modeName(c.bounded), j, cv[j], qv[j])
+		chain, quorum, unbatched := runs[0], runs[1], runs[2]
+		cv := violationStrings(chain)
+		for _, other := range []struct {
+			name string
+			r    Result
+		}{{"quorum", quorum}, {"unbatched chain", unbatched}} {
+			ov := violationStrings(other.r)
+			if len(cv) != len(ov) {
+				t.Errorf("seed %d %s: chain %d violations %v, %s %d violations %v",
+					c.seed, modeName(c.bounded), len(cv), cv, other.name, len(ov), ov)
+				continue
+			}
+			for j := range cv {
+				if cv[j] != ov[j] {
+					t.Errorf("seed %d %s violation %d: chain %q vs %s %q",
+						c.seed, modeName(c.bounded), j, cv[j], other.name, ov[j])
+				}
 			}
 		}
 		if !chain.Passed() {
 			t.Errorf("seed %d %s: chain engine not clean: %v", c.seed, modeName(c.bounded), cv)
 		}
-		if chain.Ops < minOps || quorum.Ops < minOps {
-			t.Errorf("seed %d %s: progress floor: chain %d ops, quorum %d ops",
-				c.seed, modeName(c.bounded), chain.Ops, quorum.Ops)
+		if chain.Ops < minOps || quorum.Ops < minOps || unbatched.Ops < minOps {
+			t.Errorf("seed %d %s: progress floor: chain %d ops, quorum %d ops, unbatched chain %d ops",
+				c.seed, modeName(c.bounded), chain.Ops, quorum.Ops, unbatched.Ops)
 		}
 	}
 }

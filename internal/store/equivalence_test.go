@@ -149,7 +149,7 @@ func TestUDPDigestShardCountInvariant(t *testing.T) {
 	const flows, writes = 12, 7
 	var digests []uint64
 	for _, shards := range []int{1, 2, 5} {
-		srv := sweepServer(t, WithUDPShards(shards), WithUDPReceivers(2))
+		srv := sweepServer(t, WithUDPShards(shards))
 		res, err := RunSweep(SweepConfig{
 			Addr: srv.Addr().String(), Flows: flows, Writes: writes,
 			Batch: 4, Timeout: 30 * time.Second,
@@ -219,7 +219,7 @@ func serialTranscript(t *testing.T, addr *net.UDPAddr, flows, writes int) []byte
 func TestServerIOPathEquivalence(t *testing.T) {
 	const flows, writes = 8, 25
 	mk := func(opts ...UDPOption) *UDPServer {
-		return sweepServer(t, append([]UDPOption{WithUDPShards(2), WithUDPReceivers(2)}, opts...)...)
+		return sweepServer(t, append([]UDPOption{WithUDPShards(2)}, opts...)...)
 	}
 	platform := mk()
 	portable := mk(WithUDPPortableIO())

@@ -17,7 +17,7 @@ import (
 )
 
 // SweepConfig drives a loopback goodput sweep against a real-UDP store
-// server (cmd/redplane-udpload and BenchmarkUDPGoodput both run one).
+// server (cmd/redplane-udpload and internal/e2e both run one).
 // Each flow leases its key, then streams Writes replication requests
 // through a bounded in-flight window; every request must be
 // acknowledged (cumulatively) before the sweep counts it. The load

@@ -41,7 +41,6 @@ type UDPServer struct {
 	conn *net.UDPConn
 	next atomic.Pointer[netip.AddrPort] // chain successor (nil = tail / no chain)
 	cfg  Config
-	opt  UDPOptions
 
 	// Control-plane facts, settable at runtime by a redplane-ctl agent
 	// and reported in MsgHello replies. chainPos is -1 until the control
@@ -76,33 +75,28 @@ type UDPServer struct {
 // queued waiters.
 const leaseFlushTick = 50 * time.Millisecond
 
-// maxDrainBurst bounds the datagrams a shard processes per group
-// commit, so acknowledgments are not starved under sustained ingress.
-const maxDrainBurst = 256
+// The sharded server's fixed sizes.
+const (
+	// maxDrainBurst bounds the datagrams a shard processes per group
+	// commit, so acknowledgments are not starved under sustained ingress.
+	maxDrainBurst = 256
+	// rxBatch and txBatch are the datagrams per recvmmsg call and per
+	// shard sendmmsg call.
+	rxBatch = 32
+	txBatch = 32
+	// ringSize is each receiver→shard SPSC ring's capacity. A full ring
+	// sheds — the switch retransmits, like any other UDP loss.
+	ringSize = 1024
+)
 
 // UDPOptions sizes the sharded server. The zero value of each field
 // selects its default.
 type UDPOptions struct {
 	// Shards is the number of shard-owner goroutines; flows hash to
 	// shards by five-tuple. Default 1. cmd/redplane-store defaults its
-	// -shards flag to the core count instead.
+	// -shards flag to the core count instead. The socket is drained by
+	// min(Shards, 2) receiver goroutines.
 	Shards int
-	// Receivers is the number of goroutines draining the socket.
-	// Default: 1 for a single shard, else 2.
-	Receivers int
-	// RxBatch is the datagrams read per recvmmsg call (default 32).
-	RxBatch int
-	// TxBatch is the datagrams per shard sendmmsg call (default 32).
-	TxBatch int
-	// RingSize is each receiver→shard SPSC ring's capacity (default
-	// 1024, rounded up to a power of two). A full ring sheds — the
-	// switch retransmits, like any other UDP loss.
-	RingSize int
-	// CommitBurst bounds the datagrams a shard processes per group
-	// commit (default 256). 1 reproduces the pre-sharding behavior —
-	// one fsync per mutating datagram — which is what the goodput
-	// benchmark's baseline measures.
-	CommitBurst int
 
 	forcePortable bool
 }
@@ -113,51 +107,10 @@ type UDPOption func(*UDPOptions)
 // WithUDPShards sets the shard-owner goroutine count.
 func WithUDPShards(n int) UDPOption { return func(o *UDPOptions) { o.Shards = n } }
 
-// WithUDPReceivers sets the socket-draining goroutine count.
-func WithUDPReceivers(n int) UDPOption { return func(o *UDPOptions) { o.Receivers = n } }
-
-// WithUDPBatch sets the rx (recvmmsg) and tx (sendmmsg) syscall batch
-// sizes; 0 keeps a side's default.
-func WithUDPBatch(rx, tx int) UDPOption {
-	return func(o *UDPOptions) { o.RxBatch, o.TxBatch = rx, tx }
-}
-
-// WithUDPRing sets the per-receiver-per-shard ring capacity.
-func WithUDPRing(n int) UDPOption { return func(o *UDPOptions) { o.RingSize = n } }
-
-// WithUDPCommitBurst bounds datagrams per shard group commit.
-func WithUDPCommitBurst(n int) UDPOption { return func(o *UDPOptions) { o.CommitBurst = n } }
-
 // WithUDPPortableIO forces the portable single-datagram syscall path
 // even where the batched recvmmsg/sendmmsg one is available — for
 // debugging and for the CI equivalence tests.
 func WithUDPPortableIO() UDPOption { return func(o *UDPOptions) { o.forcePortable = true } }
-
-func (o *UDPOptions) fill() error {
-	if o.Shards == 0 {
-		o.Shards = 1
-	}
-	if o.Receivers == 0 {
-		o.Receivers = min(o.Shards, 2)
-	}
-	if o.RxBatch == 0 {
-		o.RxBatch = 32
-	}
-	if o.TxBatch == 0 {
-		o.TxBatch = 32
-	}
-	if o.RingSize == 0 {
-		o.RingSize = 1024
-	}
-	if o.CommitBurst == 0 {
-		o.CommitBurst = maxDrainBurst
-	}
-	if o.Shards < 1 || o.Receivers < 1 || o.RxBatch < 1 || o.TxBatch < 1 || o.RingSize < 2 ||
-		o.CommitBurst < 1 {
-		return fmt.Errorf("store: invalid UDP options %+v", *o)
-	}
-	return nil
-}
 
 // NewUDPServer binds the server to addr (e.g. "127.0.0.1:9500").
 // nextAddr, when non-empty, is the chain successor. Goroutines start in
@@ -167,9 +120,13 @@ func NewUDPServer(addr, nextAddr string, cfg Config, opts ...UDPOption) (*UDPSer
 	for _, fn := range opts {
 		fn(&opt)
 	}
-	if err := opt.fill(); err != nil {
-		return nil, err
+	if opt.Shards == 0 {
+		opt.Shards = 1
 	}
+	if opt.Shards < 1 {
+		return nil, fmt.Errorf("store: invalid shard count %d", opt.Shards)
+	}
+	receivers := min(opt.Shards, 2)
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("store: resolve %q: %w", addr, err)
@@ -183,7 +140,7 @@ func NewUDPServer(addr, nextAddr string, cfg Config, opts ...UDPOption) (*UDPSer
 	conn.SetReadBuffer(sockBufBytes)
 	conn.SetWriteBuffer(sockBufBytes)
 	s := &UDPServer{
-		conn: conn, cfg: cfg, opt: opt,
+		conn: conn, cfg: cfg,
 		reg:  obs.NewRegistry(),
 		stop: make(chan struct{}),
 	}
@@ -218,9 +175,9 @@ func NewUDPServer(addr, nextAddr string, cfg Config, opts ...UDPOption) (*UDPSer
 			sh:    NewShard(cfg),
 			addrs: make(map[int]netip.AddrPort),
 			wake:  make(chan struct{}, 1),
-			rings: make([]*ring.SPSC[dgram], opt.Receivers),
+			rings: make([]*ring.SPSC[dgram], receivers),
 			tx: &txBatcher{
-				slots:     make([]txSlot, opt.TxBatch),
+				slots:     make([]txSlot, txBatch),
 				txBatches: ns.Counter("tx_batches"),
 				txDgrams:  ns.Counter("tx_dgrams"),
 			},
@@ -234,17 +191,17 @@ func NewUDPServer(addr, nextAddr string, cfg Config, opts ...UDPOption) (*UDPSer
 		}
 		_, sh.tx.bw, s.ioName = newIO()
 		for r := range sh.rings {
-			sh.rings[r] = ring.New[dgram](opt.RingSize)
+			sh.rings[r] = ring.New[dgram](ringSize)
 		}
 		s.shards[i] = sh
 	}
 
-	s.recvs = make([]*udpReceiver, opt.Receivers)
+	s.recvs = make([]*udpReceiver, receivers)
 	for i := range s.recvs {
 		rbr, _, _ := newIO()
 		rx := &udpReceiver{
 			srv: s, idx: i, br: rbr,
-			slots:   make([]rxSlot, opt.RxBatch),
+			slots:   make([]rxSlot, rxBatch),
 			touched: make([]bool, opt.Shards),
 		}
 		for j := range rx.slots {
@@ -789,7 +746,7 @@ func (sh *udpShard) run() {
 }
 
 // drain services every queued datagram in self-clocked commit groups:
-// process until the rings are empty or CommitBurst is reached, fsync
+// process until the rings are empty or maxDrainBurst is reached, fsync
 // once for the group's mutations, then release its relays and
 // acknowledgments in one egress batch. Nothing waits for more work — the
 // next group is whatever the receivers queued while this one was
@@ -798,11 +755,10 @@ func (sh *udpShard) run() {
 func (sh *udpShard) drain() {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	commitBurst := sh.srv.opt.CommitBurst
 	for {
 		processed := 0
 		for _, r := range sh.rings {
-			for processed < commitBurst {
+			for processed < maxDrainBurst {
 				d, ok := r.Pop()
 				if !ok {
 					break

@@ -3,14 +3,13 @@
 //
 // Usage:
 //
-//	redplane-bench [-seed N] [-scale F] [-only fig8,fig12,...] [-parallel N]
-//	               [-section throughput,...] [-trace file] [-stats]
+//	redplane-bench [-seed N] [-scale F] [-only fig8,throughput,...]
+//	               [-parallel N] [-trace file] [-stats]
 //	               [-cpuprofile file] [-memprofile file]
 //
 // -scale multiplies workload sizes (1.0 reproduces the shipped defaults;
-// smaller values give quicker, noisier runs). -only selects a subset;
-// -section is an alias for -only (both select from the same section
-// names, and the selections merge).
+// smaller values give quicker, noisier runs). -only selects a subset of
+// sections by name.
 // -parallel runs the selected sections on N worker goroutines (0 = one
 // per core); each section owns a private simulator, and the results are
 // printed in canonical section order, so the output is byte-identical
@@ -41,7 +40,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	scale := flag.Float64("scale", 1.0, "workload scale factor")
 	only := flag.String("only", "", "comma-separated subset (fig8..fig15,table2,atscale,ablations,modelcheck,throughput,flowspace,wan)")
-	sectionSel := flag.String("section", "", "alias for -only (selections merge)")
 	parallel := flag.Int("parallel", 1, "worker goroutines for independent sections (0 = one per core)")
 	traceFile := flag.String("trace", "", "append protocol event timelines (JSONL) to this file")
 	stats := flag.Bool("stats", false, "print per-deployment counter summaries")
@@ -68,7 +66,7 @@ func main() {
 	}
 
 	sel := map[string]bool{}
-	for _, s := range strings.Split(*only+","+*sectionSel, ",") {
+	for _, s := range strings.Split(*only, ",") {
 		if s = strings.TrimSpace(s); s != "" {
 			sel[strings.ToLower(s)] = true
 		}

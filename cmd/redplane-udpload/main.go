@@ -2,7 +2,7 @@
 // windowed replication sweep and reports acknowledged goodput: every
 // counted write was leased, sequenced, and cumulatively acknowledged by
 // the chain tail. The generator uses the same batched recvmmsg/sendmmsg
-// layer as the server (-portable-io forces the fallback), so it can
+// layer as the server (one datagram per syscall off Linux), so it can
 // saturate a sharded server from one host.
 //
 //	redplane-udpload -addr 127.0.0.1:9500 -flows 64 -writes 2000 -batch 16
@@ -19,11 +19,10 @@
 // -zipf allocation (it is deterministic), so skewed sweeps verify too.
 //
 // Before traffic the generator performs the hello handshake against
-// the target (-no-hello skips it): it refuses a mid-chain replica and
-// a -shards value the server contradicts, and with -shards 0 adopts
-// the server's actual count for the spread report. With -ctl the
-// chain-head address is resolved from a redplane-ctl daemon's routing
-// table instead of -addr.
+// the target: it refuses a mid-chain replica and a -shards value the
+// server contradicts, and with -shards 0 adopts the server's actual
+// count for the spread report. With -ctl the chain-head address is
+// resolved from a redplane-ctl daemon's routing table instead of -addr.
 package main
 
 import (
@@ -40,21 +39,17 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:9500", "store chain head address")
-	senders := flag.Int("senders", 1, "sender goroutines (each owns a socket)")
 	flows := flag.Int("flows", 32, "distinct five-tuple flows")
 	writes := flag.Int("writes", 100, "replication writes per flow")
 	batch := flag.Int("batch", 16, "messages per request datagram")
-	syscallBatch := flag.Int("syscall-batch", 0, "datagrams per client syscall batch (0 = max(batch, 32))")
-	window := flag.Int("window", 0, "per-flow unacked bound (0 = 4*syscall-batch, 128 at the defaults)")
+	window := flag.Int("window", 0, "per-flow unacked bound (0 = 4*max(batch, 32), 128 at the defaults)")
 	stall := flag.Duration("stall", 100*time.Millisecond, "retransmission timer")
 	timeout := flag.Duration("timeout", 60*time.Second, "overall sweep deadline")
-	portable := flag.Bool("portable-io", false, "force one-datagram-per-syscall client IO")
 	zipf := flag.Float64("zipf", 0, "Zipf skew exponent for the per-flow write allocation (0 = uniform)")
 	shards := flag.Int("shards", 0, "server shard count, for the per-shard goodput spread report (0 = omit)")
 	verify := flag.Bool("verify", false, "verify a prior sweep's watermarks instead of sweeping")
 	jsonOut := flag.String("json", "", "write the sweep result as JSON to this file (- = stdout)")
 	ctlAddr := flag.String("ctl", "", "redplane-ctl address to resolve the chain head from (overrides -addr)")
-	noHello := flag.Bool("no-hello", false, "skip the deployment handshake preflight")
 	authToken := flag.String("auth-token", "", "shared secret for the redplane-ctl control plane")
 	flag.Parse()
 
@@ -72,25 +67,22 @@ func main() {
 		*addr = r.Heads[0]
 		log.Printf("redplane-udpload: routing epoch %d, head %s", r.Epoch, *addr)
 	}
-	if !*noHello {
-		// Fail fast on a misconfigured target: a mid-chain replica would
-		// silently drop (or worse, misorder) direct writes, and a shard
-		// mismatch skews the flow spread the report assumes.
-		hi, err := store.VerifyDeployTarget(*addr, *shards, 0)
-		if err != nil {
-			log.Fatalf("redplane-udpload: %v", err)
-		}
-		if *shards == 0 {
-			// Adopt the server's count so the per-shard spread report and
-			// the flow→shard placement match reality by default.
-			*shards = hi.Shards
-		}
+	// Fail fast on a misconfigured target: a mid-chain replica would
+	// silently drop (or worse, misorder) direct writes, and a shard
+	// mismatch skews the flow spread the report assumes.
+	hi, err := store.VerifyDeployTarget(*addr, *shards, 0)
+	if err != nil {
+		log.Fatalf("redplane-udpload: %v", err)
+	}
+	if *shards == 0 {
+		// Adopt the server's count so the per-shard spread report and
+		// the flow→shard placement match reality by default.
+		*shards = hi.Shards
 	}
 
 	cfg := store.SweepConfig{
-		Addr: *addr, Senders: *senders, Flows: *flows, Writes: *writes,
-		Batch: *batch, SyscallBatch: *syscallBatch, Window: *window,
-		Stall: *stall, Timeout: *timeout, Portable: *portable,
+		Addr: *addr, Flows: *flows, Writes: *writes, Batch: *batch,
+		Window: *window, Stall: *stall, Timeout: *timeout,
 		Zipf: *zipf, ShardCount: *shards,
 	}
 	if *verify {

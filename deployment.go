@@ -21,32 +21,20 @@ import (
 // paper's comparison points, where state lives only on the switch.
 type BaselineConfig struct {
 	// NoStore disables the state store entirely: switches run the
-	// application without fault tolerance.
+	// application without fault tolerance. Protocol.LocalInit seeds their
+	// per-flow state and Protocol.LocalInitExtraDelay models an external
+	// controller on flow setup.
 	NoStore bool
-
-	// LocalInit seeds per-flow state in NoStore mode; the switch ID
-	// allows per-switch pools (baseline state is switch-local).
-	LocalInit func(switchID int, key FiveTuple) []uint64
-
-	// LocalInitExtraDelay models an external controller on baseline
-	// flow setup.
-	LocalInitExtraDelay time.Duration
 }
 
-// AblationConfig degrades the protocol for ablation experiments only;
-// production deployments leave it zero.
+// AblationConfig degrades the state store for ablation experiments only;
+// production deployments leave it zero. The switch-side ablations
+// (Protocol.DisableRetransmit, Protocol.EmulatedRequestLoss) live on
+// ProtocolConfig.
 type AblationConfig struct {
 	// StoreIgnoreSeq disables the store's sequence serialization — the
 	// Fig. 6a ablation.
 	StoreIgnoreSeq bool
-
-	// DisableRetransmit turns off the mirroring-based retransmission of
-	// replication requests (§5.2).
-	DisableRetransmit bool
-
-	// EmulatedRequestLoss drops outgoing protocol requests at the
-	// switch with this probability (the §7.4 methodology).
-	EmulatedRequestLoss float64
 
 	// StoreNoRevoke disables lease revocation on failover at the store —
 	// the intentionally-broken protocol knob the chaos harness must
@@ -72,37 +60,6 @@ type ObsConfig struct {
 	SamplePeriod time.Duration
 }
 
-// FlowSpaceConfig enables consistent-hash flow-space routing: instead
-// of the static hash-mod-shards mapping, five-tuples route to chains
-// through an epoch-numbered ring (internal/flowspace), and the
-// membership coordinator gains migration duties — fencing a moving key
-// range, transferring its durable state between chains, and flipping
-// the routing epoch with no acked write lost (see internal/member's
-// migration doc).
-type FlowSpaceConfig struct {
-	// Enabled turns flow-space routing on. It implies StoreMembership:
-	// the coordinator is the only component allowed to mutate the ring.
-	Enabled bool
-
-	// VNodes is the virtual ring points per chain (zero means
-	// flowspace.DefaultVNodes). More points spread key mass more evenly
-	// at the cost of a larger table.
-	VNodes int
-
-	// Chains is how many chains initially own ring arcs (zero means all
-	// StoreShards). With Chains < StoreShards the spare shards start
-	// empty and take flow-space only when a migration moves arcs onto
-	// them — the scale-out experiment's starting shape.
-	Chains int
-
-	// MigrationDrain, RebalanceEvery, and RebalanceTheta forward to
-	// member.Config (zero means that field's default; RebalanceEvery
-	// zero leaves the skew-aware rebalancer off).
-	MigrationDrain time.Duration
-	RebalanceEvery time.Duration
-	RebalanceTheta float64
-}
-
 // DeploymentConfig describes a RedPlane deployment on the simulated
 // testbed: how many programmable switches fill the aggregation layer,
 // the application each runs, the consistency mode, and the state store's
@@ -121,37 +78,18 @@ type DeploymentConfig struct {
 	// (default 2, as on the paper's testbed).
 	Switches int
 
-	// Replication groups the replication knobs — engine name (EngineChain,
-	// EngineQuorum), group size, store queue bound, switch flush window,
-	// group-commit fsync delay — in one sub-struct, mirroring Baseline and
-	// Ablation. Zero fields fall back to the flat legacy knobs
-	// (StoreReplicas, StoreQueueMaxMsgs, Protocol.FlushWindow,
-	// StoreDurability.FsyncDelay) for one release; a set field wins over
-	// its alias.
+	// Replication selects the store's replication engine (EngineChain,
+	// EngineQuorum) and group size (default a 3-member chain, as in the
+	// paper's §6 prototype).
 	Replication ReplicationConfig
 
-	// StoreShards and StoreReplicas shape the state store (defaults 1
-	// shard, 3-way replication, as in the prototype).
-	//
-	// Deprecated: set Replication.Replicas instead of StoreReplicas; this
-	// alias is honored for one release.
-	StoreShards, StoreReplicas int
+	// StoreShards is the number of store shards, each served by its own
+	// replication group (default 1, as in the prototype).
+	StoreShards int
 
 	// StoreService is the per-request service time at a store server
 	// (default 2 µs, approximating the kernel-bypass server).
 	StoreService time.Duration
-
-	// StoreQueueMaxMsgs bounds each store server's service backlog by
-	// message count (zero means store.DefaultQueueMaxMsgs); overload
-	// beyond it is shed and counted rather than queued without bound.
-	//
-	// Deprecated: set Replication.QueueMaxMsgs; this alias is honored for
-	// one release.
-	StoreQueueMaxMsgs int
-
-	// StoreMaxWaiting caps each flow's buffered-lease-request queue at
-	// the store (zero means store.DefaultMaxWaiting).
-	StoreMaxWaiting int
 
 	// StoreDurability enables the store's persistence layer: each server
 	// gets an in-memory durable backend (a "disk" that survives cold
@@ -167,12 +105,16 @@ type DeploymentConfig struct {
 	// construction.
 	StoreMembership bool
 
-	// StoreMember tunes the coordinator (zero values mean defaults).
-	StoreMember member.Config
-
-	// FlowSpace enables consistent-hash flow-space routing with live
-	// migration (see FlowSpaceConfig).
-	FlowSpace FlowSpaceConfig
+	// FlowSpace enables consistent-hash flow-space routing: instead of
+	// the static hash-mod-shards mapping, five-tuples route to the
+	// StoreShards chains through an epoch-numbered ring
+	// (internal/flowspace), and the membership coordinator gains
+	// migration duties — fencing a moving key range, transferring its
+	// durable state between chains, and flipping the routing epoch with no
+	// acked write lost (see internal/member's migration doc). It implies
+	// StoreMembership: the coordinator is the only component allowed to
+	// mutate the ring.
+	FlowSpace bool
 
 	// InitState is the store-side state initializer for new flows (the
 	// place shared pools live; see internal/apps allocators).
@@ -182,8 +124,10 @@ type DeploymentConfig struct {
 	// bounded-inconsistency apps.
 	SnapshotSlots int
 
-	// Protocol tunes the replication protocol; zero value means
-	// DefaultProtocolConfig.
+	// Protocol tunes the replication protocol at the switches. A config
+	// with LeasePeriod == 0 is replaced wholesale by
+	// DefaultProtocolConfig(), so callers that set any field start from
+	// DefaultProtocolConfig() and adjust it.
 	Protocol ProtocolConfig
 
 	// Fabric overrides the testbed link configuration (zero value means
@@ -202,7 +146,7 @@ type DeploymentConfig struct {
 	// Baseline selects non-fault-tolerant baseline operation.
 	Baseline BaselineConfig
 
-	// Ablation degrades the protocol for ablation experiments.
+	// Ablation degrades the store for ablation experiments.
 	Ablation AblationConfig
 
 	// Obs tunes tracing and time-series sampling.
@@ -227,11 +171,11 @@ type Deployment struct {
 	Journal *WriteJournal
 
 	// Coordinator is the chain membership coordinator (nil unless
-	// StoreMembership is set).
+	// StoreMembership or FlowSpace is set).
 	Coordinator *member.Coordinator
 
 	// FlowTable is the flow-space routing ring (nil unless
-	// FlowSpace.Enabled). All switches and stores read this one table —
+	// FlowSpace). All switches and stores read this one table —
 	// the idealized instantly-consistent routing rollout; the epoch
 	// number is what a real control plane would distribute.
 	FlowTable *flowspace.Table
@@ -244,7 +188,6 @@ type Deployment struct {
 	// storeUplinks holds each store server's uplink port in Cluster.All
 	// order so conditions can be attached per direction.
 	em           *netem.Manager
-	emCfg        netem.Config
 	storeUplinks []*netsim.Port
 
 	// storeBEs[shard][replica] are the store servers' durable backends
@@ -288,31 +231,16 @@ func NewDeployment(cfg DeploymentConfig) *Deployment {
 	if cfg.StoreShards == 0 {
 		cfg.StoreShards = 1
 	}
-	// One release of aliases: the grouped Replication knobs win over the
-	// flat legacy fields when set; legacy fields keep working otherwise.
 	if err := cfg.Replication.Validate(); err != nil {
 		panic("redplane: " + err.Error())
 	}
-	if cfg.Replication.Replicas != 0 {
-		cfg.StoreReplicas = cfg.Replication.Replicas
-	}
-	if cfg.Replication.QueueMaxMsgs != 0 {
-		cfg.StoreQueueMaxMsgs = cfg.Replication.QueueMaxMsgs
-	}
-	if cfg.Replication.FsyncDelay != 0 {
-		cfg.StoreDurability.FsyncDelay = cfg.Replication.FsyncDelay
-	}
-	if cfg.StoreReplicas == 0 {
-		cfg.StoreReplicas = 3
-	}
+	cfg.Replication = cfg.Replication.WithDefaults()
+	replicas := cfg.Replication.Replicas
 	if cfg.StoreService == 0 {
 		cfg.StoreService = 2 * time.Microsecond
 	}
 	if cfg.Protocol.LeasePeriod == 0 {
 		cfg.Protocol = DefaultProtocolConfig()
-	}
-	if cfg.Replication.FlushWindow != 0 {
-		cfg.Protocol.FlushWindow = cfg.Replication.FlushWindow
 	}
 	if cfg.Fabric.Delay == 0 && cfg.Fabric.Bandwidth == 0 {
 		cfg.Fabric = netsim.LinkConfig{Delay: 800 * time.Nanosecond, Bandwidth: 100e9}
@@ -341,25 +269,14 @@ func NewDeployment(cfg DeploymentConfig) *Deployment {
 		d.Journal = &WriteJournal{}
 		cfg.Protocol.Journal = d.Journal
 	}
-	cfg.Protocol.LocalInit = cfg.Baseline.LocalInit
-	cfg.Protocol.LocalInitExtraDelay = cfg.Baseline.LocalInitExtraDelay
-	if cfg.Ablation.DisableRetransmit {
-		cfg.Protocol.DisableRetransmit = true
-	}
-	if cfg.Ablation.EmulatedRequestLoss > 0 {
-		cfg.Protocol.EmulatedRequestLoss = cfg.Ablation.EmulatedRequestLoss
-	}
 
 	var locator core.StoreLocator
 	if !cfg.Baseline.NoStore {
 		opts := []store.Option{store.WithEngine(cfg.Replication.Engine)}
-		if cfg.StoreQueueMaxMsgs > 0 {
-			opts = append(opts, store.WithQueueMaxMsgs(cfg.StoreQueueMaxMsgs))
-		}
 		if cfg.StoreDurability.Enabled {
 			d.storeBEs = make([][]*durable.MemBackend, cfg.StoreShards)
 			for sh := range d.storeBEs {
-				d.storeBEs[sh] = make([]*durable.MemBackend, cfg.StoreReplicas)
+				d.storeBEs[sh] = make([]*durable.MemBackend, replicas)
 			}
 			opts = append(opts, store.WithDurability(cfg.StoreDurability,
 				func(shard, replica int) durable.Backend {
@@ -368,12 +285,11 @@ func NewDeployment(cfg DeploymentConfig) *Deployment {
 					return be
 				}))
 		}
-		d.Cluster = store.NewCluster(sim, cfg.StoreShards, cfg.StoreReplicas,
+		d.Cluster = store.NewCluster(sim, cfg.StoreShards, replicas,
 			store.Config{
 				LeasePeriod:    cfg.Protocol.LeasePeriod,
 				InitState:      cfg.InitState,
 				SnapshotSlots:  cfg.SnapshotSlots,
-				MaxWaiting:     cfg.StoreMaxWaiting,
 				IgnoreSeq:      cfg.Ablation.StoreIgnoreSeq,
 				UnsafeNoRevoke: cfg.Ablation.StoreNoRevoke,
 			},
@@ -382,27 +298,12 @@ func NewDeployment(cfg DeploymentConfig) *Deployment {
 				return packet.MakeAddr(10, 100, byte(shard+1), byte(replica+1))
 			},
 			opts...)
-		if cfg.FlowSpace.Enabled {
-			chains := cfg.FlowSpace.Chains
-			if chains <= 0 || chains > cfg.StoreShards {
-				chains = cfg.StoreShards
-			}
-			d.FlowTable = flowspace.New(chains, cfg.FlowSpace.VNodes)
+		if cfg.FlowSpace {
+			d.FlowTable = flowspace.New(cfg.StoreShards, 0)
 			d.Cluster.UseTable(d.FlowTable)
-			cfg.StoreMembership = true
-			cfg.StoreMember.Table = d.FlowTable
-			if cfg.FlowSpace.MigrationDrain != 0 {
-				cfg.StoreMember.MigrationDrain = cfg.FlowSpace.MigrationDrain
-			}
-			if cfg.FlowSpace.RebalanceEvery != 0 {
-				cfg.StoreMember.RebalanceEvery = cfg.FlowSpace.RebalanceEvery
-			}
-			if cfg.FlowSpace.RebalanceTheta != 0 {
-				cfg.StoreMember.RebalanceTheta = cfg.FlowSpace.RebalanceTheta
-			}
 		}
-		if cfg.StoreMembership {
-			d.Coordinator = member.New(sim, d.Cluster, cfg.StoreMember)
+		if cfg.StoreMembership || cfg.FlowSpace {
+			d.Coordinator = member.New(sim, d.Cluster, member.Config{Table: d.FlowTable})
 			d.Coordinator.Start()
 		}
 		locator = d.Cluster
@@ -433,7 +334,7 @@ func NewDeployment(cfg DeploymentConfig) *Deployment {
 			storeLink.Bandwidth *= 4
 		}
 		for si, srv := range d.Cluster.All() {
-			rack := (si % cfg.StoreReplicas) % 2
+			rack := (si % replicas) % 2
 			p := d.Testbed.AddRackNodeLink(rack, srv, srv.IP, storeLink)
 			srv.SetPort(p)
 			srv.SwitchAddr = d.SwitchIP
@@ -455,12 +356,10 @@ func NewDeployment(cfg DeploymentConfig) *Deployment {
 // deterministic contract) and WAN inter-DC base delays on the uplinks
 // of store replicas placed outside the hub datacenter.
 func (d *Deployment) installNetEm(cfg DeploymentConfig) {
-	seed := cfg.NetEm.Seed
-	if seed == 0 {
+	if cfg.NetEm.Seed == 0 {
 		cfg.NetEm.Seed = cfg.Seed
 	}
 	d.em = netem.NewManager(cfg.NetEm, d.reg)
-	d.emCfg = cfg.NetEm
 	for _, sw := range d.switches {
 		if c := d.em.NewClock(); c != nil {
 			sw.SetClock(c)
@@ -474,7 +373,7 @@ func (d *Deployment) installNetEm(cfg DeploymentConfig) {
 		if c := d.em.NewClock(); c != nil {
 			srv.SetClock(c)
 		}
-		replica := si % cfg.StoreReplicas
+		replica := si % cfg.Replication.Replicas
 		if delay := wan.NodeDelay(wan.DCOf(replica)); delay > 0 {
 			out, in := d.storeUplinkPorts(si)
 			d.em.Cond(out).SetBaseDelay(delay)
@@ -494,10 +393,6 @@ func (d *Deployment) storeUplinkPorts(si int) (out, in *netsim.Port) {
 	}
 	return b, a
 }
-
-// NetEm returns the deployment's network-condition manager, nil unless
-// DeploymentConfig.NetEm enabled the subsystem.
-func (d *Deployment) NetEm() *netem.Manager { return d.em }
 
 // SetStoreGray installs (or clears, with nil) a gray-failure shape on
 // both directions of the store server's uplink: the replica stays alive

@@ -304,7 +304,7 @@ func runLinearizable(cfg Config, faults []Fault) runResult {
 		Obs:             redplane.ObsConfig{TraceEvents: traceCap},
 		Ablation:        redplane.AblationConfig{StoreNoRevoke: cfg.BreakNoRevoke},
 		StoreShards:     shards,
-		FlowSpace:       redplane.FlowSpaceConfig{Enabled: ring},
+		FlowSpace:       ring,
 		StoreDurability: store.DurabilityConfig{Enabled: durableRun},
 		StoreMembership: durableRun,
 		NetEm:           netemConfig(cfg, faults),

@@ -231,7 +231,7 @@ func newBoundedDriver(cfg Config, faults []Fault) (*boundedDriver, *redplane.Dep
 		Replication:     redplane.ReplicationConfig{Engine: cfg.Engine},
 		Obs:             redplane.ObsConfig{TraceEvents: traceCap},
 		StoreShards:     shards,
-		FlowSpace:       redplane.FlowSpaceConfig{Enabled: ring},
+		FlowSpace:       ring,
 		StoreDurability: store.DurabilityConfig{Enabled: durableRun},
 		StoreMembership: durableRun,
 		NetEm:           netemConfig(cfg, faults),

@@ -141,9 +141,6 @@ func NewDirBackend(dir string) (*DirBackend, error) {
 	return &DirBackend{dir: dir}, nil
 }
 
-// Dir returns the backing directory.
-func (d *DirBackend) Dir() string { return d.dir }
-
 func (d *DirBackend) path(name string) string {
 	// Flatten: backends use flat names; reject anything path-like.
 	return filepath.Join(d.dir, filepath.Base(name))

@@ -132,7 +132,7 @@ func TestCtlKillRestartUnderLoad(t *testing.T) {
 	}
 
 	cfg := store.SweepConfig{
-		Addr: head, Senders: 1, Flows: 16, Writes: 30000, Batch: 16,
+		Addr: head, Flows: 16, Writes: 30000, Batch: 16,
 		Stall: 50 * time.Millisecond, Timeout: 180 * time.Second, ShardCount: 2,
 	}
 	type sweepOut struct {

@@ -72,13 +72,13 @@ func AblationSequencing(seed int64) AblationResult {
 // switch.
 func AblationRetransmission(seed int64) AblationResult {
 	run := func(disable bool) float64 {
+		proto := redplane.DefaultProtocolConfig()
+		proto.DisableRetransmit = disable
+		proto.EmulatedRequestLoss = 0.05
 		d := redplane.NewDeployment(redplane.DeploymentConfig{
-			Seed:   seed,
-			NewApp: func(int) redplane.App { return apps.SyncCounter{} },
-			Ablation: redplane.AblationConfig{
-				DisableRetransmit:   disable,
-				EmulatedRequestLoss: 0.05,
-			},
+			Seed:     seed,
+			NewApp:   func(int) redplane.App { return apps.SyncCounter{} },
+			Protocol: proto,
 		})
 		client := d.AddServer(0, "client", intClientIP)
 		d.AddClient(0, "sink", extServerIP)
@@ -124,8 +124,9 @@ func AblationRetransmission(seed int64) AblationResult {
 func AblationChainLength(seed int64) []AblationResult {
 	lat := func(replicas int) float64 {
 		sc := &latencyScenario{
-			cfg: redplane.DeploymentConfig{Seed: seed, StoreReplicas: replicas,
-				NewApp: func(int) redplane.App { return apps.SyncCounter{} }},
+			cfg: redplane.DeploymentConfig{Seed: seed,
+				Replication: redplane.ReplicationConfig{Replicas: replicas},
+				NewApp:      func(int) redplane.App { return apps.SyncCounter{} }},
 			items: natTrace(seed, 2000, 10), gap: 20 * time.Microsecond, seed: seed,
 		}
 		return sc.run(300*time.Millisecond).Percentile(50) / 1e3
@@ -224,11 +225,11 @@ func AblationMirrorBuffer(seed int64) AblationResult {
 	run := func(limit int) float64 {
 		proto := redplane.DefaultProtocolConfig()
 		proto.MirrorBufferLimit = limit
+		proto.EmulatedRequestLoss = 0.02
 		d := redplane.NewDeployment(redplane.DeploymentConfig{
 			Seed:     seed,
 			NewApp:   func(int) redplane.App { return apps.SyncCounter{} },
 			Protocol: proto,
-			Ablation: redplane.AblationConfig{EmulatedRequestLoss: 0.02},
 			Fabric:   fig12Fabric,
 		})
 		client := d.AddServer(0, "client", intClientIP)

@@ -212,6 +212,14 @@ func localInit(a *apps.NATAllocator) func(int, packet.FiveTuple) []uint64 {
 	return func(_ int, key packet.FiveTuple) []uint64 { return a.Init(key) }
 }
 
+// localProtocol is the default protocol with a switch-local flow
+// initializer: the configuration of a NoStore baseline that seeds state.
+func localProtocol(init func(int, packet.FiveTuple) []uint64) redplane.ProtocolConfig {
+	p := redplane.DefaultProtocolConfig()
+	p.LocalInit = init
+	return p
+}
+
 // localInitLB adapts a load-balancer pool to the LocalInit hook.
 func localInitLB(p *apps.LBPool) func(int, packet.FiveTuple) []uint64 {
 	return func(_ int, key packet.FiveTuple) []uint64 { return p.Init(key) }

@@ -68,7 +68,7 @@ func Fig12(seed int64, window time.Duration) Fig12Result {
 				cfg.InitState = natAlloc.Init
 			} else {
 				cfg.Baseline.NoStore = true
-				cfg.Baseline.LocalInit = localInit(natAllocLocal)
+				cfg.Protocol = localProtocol(localInit(natAllocLocal))
 			}
 			return cfg
 		}},
@@ -87,7 +87,7 @@ func Fig12(seed int64, window time.Duration) Fig12Result {
 				cfg.InitState = pool.Init
 			} else {
 				cfg.Baseline.NoStore = true
-				cfg.Baseline.LocalInit = localInitLB(poolLocal)
+				cfg.Protocol = localProtocol(localInitLB(poolLocal))
 			}
 			return cfg
 		}},

@@ -51,12 +51,13 @@ func Fig13(seed int64, window time.Duration) Fig13Result {
 
 func fig13Run(seed int64, stores int, ratio float64, keys int, window time.Duration) float64 {
 	d := redplane.NewDeployment(redplane.DeploymentConfig{
-		Seed:          seed,
-		NewApp:        func(int) redplane.App { return &apps.KVStore{} },
-		StoreShards:   stores,
-		StoreReplicas: 1, // Fig. 13 varies server count, not chain length
-		StoreService:  time.Microsecond,
-		Fabric:        fig12Fabric,
+		Seed:        seed,
+		NewApp:      func(int) redplane.App { return &apps.KVStore{} },
+		StoreShards: stores,
+		// Fig. 13 varies server count, not chain length.
+		Replication:  redplane.ReplicationConfig{Replicas: 1},
+		StoreService: time.Microsecond,
+		Fabric:       fig12Fabric,
 	})
 	// Requests are addressed through the fabric to a rack anchor; the
 	// switches intercept them by the KV header and reply to the client.

@@ -84,7 +84,7 @@ func fig14Run(label string, seed int64, dur, failAt, recoverAt time.Duration, ft
 		cfg.InitState = alloc.Init
 	} else {
 		cfg.Baseline.NoStore = true
-		cfg.Baseline.LocalInit = func(sw int, key redplane.FiveTuple) []uint64 {
+		cfg.Protocol = localProtocol(func(sw int, key redplane.FiveTuple) []uint64 {
 			a, ok := locals[sw]
 			if !ok {
 				a = apps.NewNATAllocatorBase(nat, nextBase)
@@ -92,7 +92,7 @@ func fig14Run(label string, seed int64, dur, failAt, recoverAt time.Duration, ft
 				locals[sw] = a
 			}
 			return a.Init(key)
-		}
+		})
 	}
 	d := redplane.NewDeployment(cfg)
 	d.RegisterServiceIP(natPublicIP)

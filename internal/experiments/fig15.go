@@ -62,11 +62,11 @@ func fig15Run(seed int64, frac, lossPct float64, window time.Duration) Fig15Poin
 	// The occupancy measurement must not clip against the buffer bound
 	// (the paper's ASIC has "a few tens of MB" of packet buffer).
 	proto.MirrorBufferLimit = 32 * 1024 * 1024
+	proto.EmulatedRequestLoss = lossPct / 100
 	d := redplane.NewDeployment(redplane.DeploymentConfig{
 		Seed:         seed,
 		NewApp:       func(int) redplane.App { return apps.SyncCounter{} },
 		Protocol:     proto,
-		Ablation:     redplane.AblationConfig{EmulatedRequestLoss: lossPct / 100},
 		Obs:          redplane.ObsConfig{SamplePeriod: 250 * time.Microsecond},
 		Fabric:       fig12Fabric,
 		StoreService: time.Microsecond,

@@ -61,7 +61,8 @@ func Fig8(seed int64, packets int) Fig8Result {
 		sc := &latencyScenario{
 			cfg: redplane.DeploymentConfig{
 				Seed:     seed,
-				Baseline: redplane.BaselineConfig{NoStore: true, LocalInit: localInit(alloc)},
+				Baseline: redplane.BaselineConfig{NoStore: true},
+				Protocol: localProtocol(localInit(alloc)),
 				NewApp:   func(int) redplane.App { return newNAT() },
 			},
 			items: natTrace(seed, packets, flows), gap: gap, span: span, seed: seed,
@@ -76,12 +77,14 @@ func Fig8(seed int64, packets int) Fig8Result {
 	{
 		nat := newNAT()
 		alloc := apps.NewNATAllocator(nat)
+		proto := localProtocol(localInit(alloc))
+		proto.LocalInitExtraDelay = 75 * time.Microsecond
 		sc := &latencyScenario{
 			cfg: redplane.DeploymentConfig{
-				Seed: seed,
-				Baseline: redplane.BaselineConfig{NoStore: true, LocalInit: localInit(alloc),
-					LocalInitExtraDelay: 75 * time.Microsecond},
-				NewApp: func(int) redplane.App { return newNAT() },
+				Seed:     seed,
+				Baseline: redplane.BaselineConfig{NoStore: true},
+				Protocol: proto,
+				NewApp:   func(int) redplane.App { return newNAT() },
 			},
 			items: natTrace(seed, packets, flows), gap: gap, span: span, seed: seed,
 			serviceIPs: []redplane.Addr{natPublicIP},

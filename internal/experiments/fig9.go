@@ -114,8 +114,9 @@ func fig9Subset(seed int64, packets, idx int) Fig9Result {
 
 	// Sync-Counter without chain replication (one store server).
 	add("Sync-Counter (w/o chain)", &latencyScenario{
-		cfg: redplane.DeploymentConfig{Seed: seed, StoreReplicas: 1,
-			NewApp: func(int) redplane.App { return apps.SyncCounter{} }},
+		cfg: redplane.DeploymentConfig{Seed: seed,
+			Replication: redplane.ReplicationConfig{Replicas: 1},
+			NewApp:      func(int) redplane.App { return apps.SyncCounter{} }},
 		items: natTrace(seed, packets, flows), gap: gap,
 	})
 

@@ -117,7 +117,7 @@ func flowspaceScaleRun(seed int64, chains int, window time.Duration) FlowspaceSc
 		Protocol:     proto,
 		StoreService: throughputService,
 		StoreShards:  chains,
-		FlowSpace:    redplane.FlowSpaceConfig{Enabled: chains > 1},
+		FlowSpace:    chains > 1,
 	})
 
 	sink := d.AddClient(0, "sink", extServerIP)

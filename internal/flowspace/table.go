@@ -312,18 +312,6 @@ func (t *Table) ArcFor(key packet.FiveTuple) Arc {
 	return Arc{Pos: t.points[i].pos, From: t.points[i].chain, To: t.points[i].chain}
 }
 
-// FirstArcMove plans a move of the lowest-position arc owned by `from`
-// to chain `to` — the deterministic single-arc migration the chaos
-// schedules inject. ok is false when `from` owns nothing.
-func (t *Table) FirstArcMove(from, to int) (Move, bool) {
-	for _, p := range t.points {
-		if p.chain == from {
-			return Move{Arcs: []Arc{{Pos: p.pos, From: from, To: to}}}, true
-		}
-	}
-	return Move{}, false
-}
-
 // errors returned by BeginMove.
 var (
 	ErrMovePending = errors.New("flowspace: a move is already pending")

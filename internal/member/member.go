@@ -79,7 +79,7 @@ type Config struct {
 	// takes before it can be re-spliced.
 	ResyncDelay time.Duration
 	// Table, when non-nil, gives the coordinator flow-space duties:
-	// live migrations (StartMove/MoveOneArc) and, with RebalanceEvery
+	// live migrations (StartMove/MoveKeyArc) and, with RebalanceEvery
 	// set, the skew-aware rebalancer. It must be the same table the
 	// cluster routes by (Cluster.UseTable) — the coordinator is the only
 	// writer of ring state; everything else only reads it.

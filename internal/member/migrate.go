@@ -145,20 +145,6 @@ func (co *Coordinator) StartMove(mv flowspace.Move) error {
 	return nil
 }
 
-// MoveOneArc migrates the lowest-position arc owned by chain from to
-// chain to — a deterministic unit move for drain/join-style rebalancing
-// driven from outside.
-func (co *Coordinator) MoveOneArc(from, to int) error {
-	if co.table == nil {
-		return ErrNoTable
-	}
-	mv, ok := co.table.FirstArcMove(from, to)
-	if !ok {
-		return fmt.Errorf("member: chain %d owns no ring points", from)
-	}
-	return co.StartMove(mv)
-}
-
 // MoveKeyArc migrates the ring arc holding key to chain to — the unit
 // move the chaos schedules inject, aimed at a live flow so the transfer
 // carries real state. Already-owned arcs are a no-op.

@@ -1,8 +1,8 @@
 // Package repl defines the replication-engine abstraction behind
 // RedPlane's state store: the Replicator interface a store server drives
 // to make committed updates fault tolerant, the wire messages engines
-// exchange, and the ReplicationConfig knob group deployments select an
-// engine with.
+// exchange, and the Config deployments select an engine and group size
+// with.
 //
 // Two engines implement the contract today (internal/store holds the
 // transport glue):
@@ -34,7 +34,6 @@ package repl
 
 import (
 	"fmt"
-	"time"
 
 	"redplane/internal/packet"
 	"redplane/internal/wire"
@@ -131,10 +130,9 @@ type Replicator interface {
 	Crashed()
 }
 
-// Config groups the replication knobs that shape a deployment's store
-// fault tolerance, mirroring the Baseline/Ablation regroupings of
-// DeploymentConfig. The zero value selects the defaults the prototype
-// ran with: a 3-member chain.
+// Config selects a deployment's replication engine and group size. The
+// zero value selects the defaults the prototype ran with: a 3-member
+// chain.
 type Config struct {
 	// Engine selects the replication engine (EngineChain, EngineQuorum;
 	// empty means EngineChain).
@@ -143,26 +141,10 @@ type Config struct {
 	// Replicas is the replication group size per shard (default 3, as
 	// in the paper's §6 prototype).
 	Replicas int
-
-	// QueueMaxMsgs bounds each store server's service backlog by message
-	// count (zero keeps the store default); overload beyond it is shed
-	// and counted rather than queued without bound.
-	QueueMaxMsgs int
-
-	// FlushWindow is the switches' egress coalescing window — how long
-	// protocol messages wait to share a datagram before being replicated
-	// (zero keeps the protocol default).
-	FlushWindow time.Duration
-
-	// FsyncDelay is the simulated store's virtual fsync latency when
-	// durability is enabled: updates logged within it share one fsync,
-	// and their outputs are held until that fsync completes (zero keeps
-	// the durability default). Simulator-only: the real-UDP store's
-	// commit groups are clocked by its device, not by a window.
-	FsyncDelay time.Duration
 }
 
-// WithDefaults fills zero fields with the prototype's values.
+// WithDefaults fills zero fields with the prototype's values. It is the
+// one place the default group size is applied.
 func (c Config) WithDefaults() Config {
 	if c.Engine == "" {
 		c.Engine = EngineChain
@@ -183,9 +165,6 @@ func (c Config) Validate() error {
 	}
 	if c.Replicas < 0 {
 		return fmt.Errorf("repl: negative replicas %d", c.Replicas)
-	}
-	if c.QueueMaxMsgs < 0 {
-		return fmt.Errorf("repl: negative queue bound %d", c.QueueMaxMsgs)
 	}
 	return nil
 }

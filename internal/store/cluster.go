@@ -53,7 +53,7 @@ type chainView struct {
 // NewCluster builds the servers for a shards x replicas store. Addresses
 // are assigned by the caller via the addr function (shard, replica) →
 // IP. Lease and service parameters apply to every server; opts select
-// the replication engine, queue bounds, and durability for all of them.
+// the replication engine and durability for all of them.
 func NewCluster(sim *netsim.Sim, shards, replicas int, cfg Config,
 	service time.Duration, addr func(shard, replica int) packet.Addr,
 	opts ...Option) *Cluster {
@@ -71,14 +71,9 @@ func NewCluster(sim *netsim.Sim, shards, replicas int, cfg Config,
 		c.servers = append(c.servers, row)
 		c.all = append(c.all, row...)
 	}
-	// Record the engine name from the built servers when there are any
-	// (a WithReplicator custom engine only reveals its name once
-	// constructed), falling back to the options for a degenerate
-	// shards=0/replicas=0 cluster rather than panicking on c.all[0].
-	if len(c.all) > 0 {
-		c.engine = c.all[0].eng.Name()
-	} else {
-		c.engine = o.engineName()
+	c.engine = o.engine
+	if c.engine == "" {
+		c.engine = repl.EngineChain
 	}
 	c.views = make([]chainView, shards)
 	for sh := 0; sh < shards; sh++ {
@@ -95,25 +90,6 @@ func NewCluster(sim *netsim.Sim, shards, replicas int, cfg Config,
 
 func serverName(shard, replica int) string {
 	return fmt.Sprintf("store-%d-%d", shard, replica)
-}
-
-// SetQueueMaxMsgs bounds every server's service backlog by message
-// count (zero restores DefaultQueueMaxMsgs). Deployment construction
-// uses it to plumb the backpressure knob cluster-wide.
-func (c *Cluster) SetQueueMaxMsgs(n int) {
-	for _, s := range c.All() {
-		s.QueueMaxMsgs = n
-	}
-}
-
-// ShedMsgs sums the shed-message counters over all servers — the
-// cluster-wide measure of load the bounded queues refused.
-func (c *Cluster) ShedMsgs() uint64 {
-	var n uint64
-	for _, s := range c.All() {
-		n += s.Stats().ShedMsgs
-	}
-	return n
 }
 
 // Shards returns the shard count.
@@ -147,9 +123,6 @@ func (c *Cluster) UseTable(t *flowspace.Table) {
 		}
 	}
 }
-
-// Table returns the flow-space routing table, nil under static routing.
-func (c *Cluster) Table() *flowspace.Table { return c.table }
 
 // ShardFor maps a flow key to its shard index ("It identifies the
 // corresponding state store server by hashing the flow key", §5.1) —
@@ -332,17 +305,6 @@ func (c *Cluster) HeadAddrFor(key packet.FiveTuple) (packet.Addr, int) {
 	}
 	sh := c.ShardFor(key)
 	return c.Head(sh).IP, sh
-}
-
-// TotalBytes sums traffic counters over all servers, for bandwidth
-// accounting experiments.
-func (c *Cluster) TotalBytes() (rx, tx uint64) {
-	for _, s := range c.All() {
-		st := s.Stats()
-		rx += st.RxBytes
-		tx += st.TxBytes
-	}
-	return rx, tx
 }
 
 // Replicas returns the chain length.

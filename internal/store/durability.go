@@ -103,10 +103,6 @@ func (d *Durability) append(up Update) {
 	d.walRecords.Inc()
 }
 
-// Backend returns the durable backend (the chaos harness dumps it on a
-// violation).
-func (d *Durability) Backend() durable.Backend { return d.be }
-
 // WALBytes returns the durable bytes written over the WAL's lifetime.
 func (d *Durability) WALBytes() uint64 { return d.wal.Bytes() }
 

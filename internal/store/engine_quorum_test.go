@@ -368,22 +368,3 @@ func TestNewClusterDegenerateShape(t *testing.T) {
 		t.Fatalf("default engine = %q", def.Engine())
 	}
 }
-
-func TestWithReplicatorInstallsCustomEngine(t *testing.T) {
-	sim := netsim.New(1)
-	var got *Server
-	fake := &chainEngine{}
-	srv := NewServer(sim, "custom", packet.MakeAddr(10, 8, 0, 9),
-		NewShard(Config{LeasePeriod: time.Second}), time.Microsecond,
-		WithReplicator(func(s *Server) repl.Replicator {
-			got = s
-			fake.s = s
-			return fake
-		}))
-	if got != srv {
-		t.Fatal("constructor not called with the server")
-	}
-	if srv.Replicator() != repl.Replicator(fake) {
-		t.Fatal("custom engine not installed")
-	}
-}

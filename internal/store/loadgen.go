@@ -27,9 +27,6 @@ import (
 type SweepConfig struct {
 	// Addr is the store chain head, e.g. "127.0.0.1:9500".
 	Addr string
-	// Senders is the number of socket-owning sender goroutines
-	// (default 1). Flows are split across them round-robin.
-	Senders int
 	// Flows is the number of distinct five-tuples (default 32).
 	Flows int
 	// Writes is the replication requests per flow (default 100). With
@@ -39,13 +36,8 @@ type SweepConfig struct {
 	// Batch is the messages packed per request datagram (default 16;
 	// 1 = one datagram per write, the per-packet switch pattern).
 	Batch int
-	// SyscallBatch is the datagrams per client send/receive syscall
-	// batch (default max(Batch, 32)); independent of Batch so the
-	// client stays syscall-efficient even with single-message
-	// datagrams.
-	SyscallBatch int
 	// Window is the per-flow unacked-write bound (default
-	// 4*SyscallBatch).
+	// 4*max(Batch, 32), four syscall batches).
 	Window int
 	// Stall is the retransmission timer (default 100ms): a flow with a
 	// stuck window re-sends its top sequence — the store's cumulative
@@ -59,8 +51,6 @@ type SweepConfig struct {
 	// FlowBase offsets the flow numbering (key and switch ID), so
 	// back-to-back sweeps against one server use fresh flows.
 	FlowBase int
-	// Portable forces the one-datagram-per-syscall client path.
-	Portable bool
 	// Zipf skews the per-flow write allocation: flow rank r gets a
 	// share of the same Flows*Writes total proportional to 1/r^Zipf
 	// (see SweepWriteTargets). 0 keeps the uniform Writes-per-flow
@@ -75,9 +65,6 @@ type SweepConfig struct {
 }
 
 func (c *SweepConfig) fill() {
-	if c.Senders <= 0 {
-		c.Senders = 1
-	}
 	if c.Flows <= 0 {
 		c.Flows = 32
 	}
@@ -87,14 +74,8 @@ func (c *SweepConfig) fill() {
 	if c.Batch <= 0 {
 		c.Batch = 16
 	}
-	if c.SyscallBatch <= 0 {
-		c.SyscallBatch = 32
-		if c.Batch > 32 {
-			c.SyscallBatch = c.Batch
-		}
-	}
 	if c.Window <= 0 {
-		c.Window = 4 * c.SyscallBatch
+		c.Window = 4 * c.syscallBatch()
 	}
 	if c.Stall <= 0 {
 		c.Stall = 100 * time.Millisecond
@@ -106,6 +87,11 @@ func (c *SweepConfig) fill() {
 		c.SwitchBase = 1
 	}
 }
+
+// syscallBatch is the datagrams per client send/receive syscall batch:
+// at least 32 whatever Batch is, so the client stays syscall-efficient
+// even with single-message datagrams.
+func (c *SweepConfig) syscallBatch() int { return max(c.Batch, 32) }
 
 // SweepResult summarizes one sweep.
 type SweepResult struct {
@@ -221,7 +207,6 @@ func RunSweep(cfg SweepConfig) (SweepResult, error) {
 	if err != nil {
 		return SweepResult{}, fmt.Errorf("loadgen: resolve %q: %w", cfg.Addr, err)
 	}
-	dst := unmapped(ua)
 	targets := SweepWriteTargets(cfg.Flows, cfg.Writes, cfg.Zipf)
 	flows := make([]*sweepFlow, cfg.Flows)
 	for i := range flows {
@@ -229,45 +214,30 @@ func RunSweep(cfg SweepConfig) (SweepResult, error) {
 			switchID: cfg.SwitchBase + cfg.FlowBase + i, target: targets[i]}
 	}
 	deadline := time.Now().Add(cfg.Timeout)
-	var wg sync.WaitGroup
-	senders := make([]*sweepSender, cfg.Senders)
-	for s := 0; s < cfg.Senders; s++ {
-		var mine []*sweepFlow
-		for i := s; i < cfg.Flows; i += cfg.Senders {
-			mine = append(mine, flows[i])
-		}
-		sn, err := newSweepSender(dst, mine, cfg)
-		if err != nil {
-			for _, p := range senders[:s] {
-				p.conn.Close()
-			}
-			return SweepResult{}, err
-		}
-		senders[s] = sn
+	sn, err := newSweepSender(unmapped(ua), flows, cfg)
+	if err != nil {
+		return SweepResult{}, err
 	}
 	start := time.Now()
-	for _, sn := range senders {
-		wg.Add(2)
-		go func(sn *sweepSender) { defer wg.Done(); sn.readAcks() }(sn)
-		go func(sn *sweepSender) { defer wg.Done(); sn.drive(deadline) }(sn)
-	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); sn.readAcks() }()
+	go func() { defer wg.Done(); sn.drive(deadline) }()
 	wg.Wait()
 	res := SweepResult{
 		Flows: cfg.Flows, Writes: cfg.Writes,
-		Elapsed:  time.Since(start),
-		Complete: true,
+		Elapsed:         time.Since(start),
+		Complete:        true,
+		SentDgrams:      sn.tx.txDgrams.Value(),
+		RecvDgrams:      sn.recvDgrams.Load(),
+		ProcessedWrites: sn.processed.Load(),
+		Retrans:         sn.retrans,
 	}
 	for _, f := range flows {
 		res.AckedWrites += f.acked.Load()
 		if f.acked.Load() < f.target {
 			res.Complete = false
 		}
-	}
-	for _, sn := range senders {
-		res.SentDgrams += sn.tx.txDgrams.Value()
-		res.RecvDgrams += sn.recvDgrams.Load()
-		res.ProcessedWrites += sn.processed.Load()
-		res.Retrans += sn.retrans
 	}
 	res.GoodputPps = float64(res.ProcessedWrites) / res.Elapsed.Seconds()
 	if cfg.ShardCount > 0 {
@@ -326,15 +296,11 @@ func newSweepSender(dst netip.AddrPort, flows []*sweepFlow, cfg SweepConfig) (*s
 	conn.SetWriteBuffer(sockBufBytes)
 	sn := &sweepSender{
 		cfg: cfg, conn: conn, dst: dst, flows: flows,
-		tx: &txBatcher{slots: make([]txSlot, cfg.SyscallBatch),
+		tx: &txBatcher{slots: make([]txSlot, cfg.syscallBatch()),
 			txBatches: new(obs.Counter), txDgrams: new(obs.Counter)},
 		byKey: make(map[packet.FiveTuple]*sweepFlow, len(flows)),
 	}
-	if cfg.Portable {
-		sn.br, sn.tx.bw, _ = newPortableIO(conn)
-	} else {
-		sn.br, sn.tx.bw, _ = newPlatformIO(conn)
-	}
+	sn.br, sn.tx.bw, _ = newPlatformIO(conn)
 	for _, f := range flows {
 		sn.byKey[f.key] = f
 	}
@@ -345,7 +311,7 @@ func newSweepSender(dst netip.AddrPort, flows []*sweepFlow, cfg SweepConfig) (*s
 // advancing per-flow watermarks. Acks are cumulative: Seq covers every
 // earlier write of the flow.
 func (sn *sweepSender) readAcks() {
-	slots := make([]rxSlot, sn.cfg.SyscallBatch)
+	slots := make([]rxSlot, sn.cfg.syscallBatch())
 	for i := range slots {
 		b := make([]byte, udpBufSize)
 		slots[i].buf = &b

@@ -2,24 +2,20 @@ package store
 
 import (
 	"fmt"
-	"time"
 
 	"redplane/internal/durable"
 	"redplane/internal/repl"
 )
 
 // Option configures a Server (or every server of a Cluster) at
-// construction: which replication engine it runs, its queue bounds, and
-// whether a durability layer is attached before the server sees traffic.
+// construction: which replication engine it runs and whether a
+// durability layer is attached before the server sees traffic.
 type Option func(*options)
 
 type options struct {
-	engine       string
-	newEngine    func(*Server) repl.Replicator
-	queueLimit   time.Duration
-	queueMaxMsgs int
-	durCfg       DurabilityConfig
-	newBackend   func(shard, replica int) durable.Backend
+	engine     string
+	durCfg     DurabilityConfig
+	newBackend func(shard, replica int) durable.Backend
 }
 
 func applyOptions(opts []Option) *options {
@@ -30,16 +26,10 @@ func applyOptions(opts []Option) *options {
 	return o
 }
 
-// configure finishes a freshly built server: queue knobs, durability (if
-// requested), then the replication engine — in that order, so the engine
-// is born into a server whose persistence layer already exists.
+// configure finishes a freshly built server: durability (if requested),
+// then the replication engine — in that order, so the engine is born into
+// a server whose persistence layer already exists.
 func (o *options) configure(s *Server, shard, replica int) {
-	if o.queueLimit != 0 {
-		s.QueueLimit = o.queueLimit
-	}
-	if o.queueMaxMsgs != 0 {
-		s.QueueMaxMsgs = o.queueMaxMsgs
-	}
 	if o.newBackend != nil {
 		if err := s.EnableDurability(o.newBackend(shard, replica), o.durCfg); err != nil {
 			// A backend that cannot be opened at construction is a
@@ -50,23 +40,7 @@ func (o *options) configure(s *Server, shard, replica int) {
 	s.eng = o.buildEngine(s)
 }
 
-// engineName is the engine the options select, resolvable without
-// building a server. A WithReplicator custom constructor has no name
-// until invoked; its selection is reported as such.
-func (o *options) engineName() string {
-	if o.newEngine != nil {
-		return "custom"
-	}
-	if o.engine == "" {
-		return repl.EngineChain
-	}
-	return o.engine
-}
-
 func (o *options) buildEngine(s *Server) repl.Replicator {
-	if o.newEngine != nil {
-		return o.newEngine(s)
-	}
 	switch o.engine {
 	case "", repl.EngineChain:
 		return &chainEngine{s: s}
@@ -81,24 +55,6 @@ func (o *options) buildEngine(s *Server) repl.Replicator {
 // (repl.EngineChain, repl.EngineQuorum). Empty means chain.
 func WithEngine(name string) Option {
 	return func(o *options) { o.engine = name }
-}
-
-// WithReplicator installs a custom replication engine: fn is called once
-// per server, after durability is attached, and overrides WithEngine.
-func WithReplicator(fn func(*Server) repl.Replicator) Option {
-	return func(o *options) { o.newEngine = fn }
-}
-
-// WithQueueLimit bounds the service backlog by queueing delay (see
-// Server.QueueLimit).
-func WithQueueLimit(d time.Duration) Option {
-	return func(o *options) { o.queueLimit = d }
-}
-
-// WithQueueMaxMsgs bounds the service backlog by message count (see
-// Server.QueueMaxMsgs).
-func WithQueueMaxMsgs(n int) Option {
-	return func(o *options) { o.queueMaxMsgs = n }
 }
 
 // WithDurability attaches a persistence layer to every server built:

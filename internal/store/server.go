@@ -180,9 +180,6 @@ func (s *Server) localNow() int64 {
 	return s.clock.Local(int64(s.sim.Now()))
 }
 
-// Replicator returns the server's replication engine.
-func (s *Server) Replicator() repl.Replicator { return s.eng }
-
 // ServerStats is a point-in-time snapshot of one store server: its
 // traffic counters plus its shard replica's protocol stats and flow
 // count.

@@ -163,9 +163,6 @@ func NewShard(cfg Config) *Shard {
 	return &Shard{cfg: cfg, flows: make(map[packet.FiveTuple]*flowState)}
 }
 
-// LeasePeriod returns the configured lease duration.
-func (s *Shard) LeasePeriod() time.Duration { return s.cfg.LeasePeriod }
-
 // SetWALHook installs (or clears, with nil) the apply-log hook. Restore
 // paths install it only after WAL replay so replayed updates are not
 // re-logged.

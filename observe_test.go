@@ -17,10 +17,12 @@ import (
 // rather than being covered by the next write's ack.
 func observeDeployment(t *testing.T, seed int64, n int, gap time.Duration, loss float64) *Deployment {
 	t.Helper()
+	proto := DefaultProtocolConfig()
+	proto.EmulatedRequestLoss = loss
 	d := NewDeployment(DeploymentConfig{
 		Seed:     seed,
 		NewApp:   func(i int) App { return apps.SyncCounter{} },
-		Ablation: AblationConfig{EmulatedRequestLoss: loss},
+		Protocol: proto,
 		Obs: ObsConfig{
 			TraceEvents:  DefaultTraceEvents,
 			SamplePeriod: 100 * time.Microsecond,

@@ -122,14 +122,12 @@ type SwitchStats = core.SwitchStats
 // Cluster.Stats().
 type StoreServerStats = store.ServerStats
 
-// Replicator is the pluggable replication-engine contract the state
-// store drives; see internal/repl for the two built-in engines and
-// store.WithReplicator for installing a custom one.
+// Replicator is the replication-engine contract the state store drives;
+// see internal/repl for the two built-in engines, selected by name.
 type Replicator = repl.Replicator
 
-// ReplicationConfig groups the replication knobs of a deployment —
-// engine name, group size, queue bound, flush window, fsync delay — as
-// DeploymentConfig.Replication.
+// ReplicationConfig selects a deployment's replication engine and group
+// size, as DeploymentConfig.Replication.
 type ReplicationConfig = repl.Config
 
 // Replication engine names for ReplicationConfig.Engine and the CLI

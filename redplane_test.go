@@ -120,6 +120,46 @@ func TestDeploymentNoStoreBaseline(t *testing.T) {
 	}
 }
 
+// A NoStore baseline seeds flow state from Protocol.LocalInit: the value
+// set there must reach the switch rather than being overwritten during
+// construction.
+func TestDeploymentNoStoreProtocolLocalInit(t *testing.T) {
+	proto := DefaultProtocolConfig()
+	initCalls := map[int]int{}
+	proto.LocalInit = func(sw int, key FiveTuple) []uint64 {
+		initCalls[sw]++
+		return []uint64{100}
+	}
+	d := NewDeployment(DeploymentConfig{
+		Seed:     2,
+		NewApp:   func(i int) App { return apps.SyncCounter{} },
+		Baseline: BaselineConfig{NoStore: true},
+		Protocol: proto,
+	})
+	src := d.AddClient(0, "client", MakeAddr(100, 0, 0, 1))
+	dst := d.AddServer(0, "server", MakeAddr(10, 0, 0, 50))
+	var last uint64
+	dst.Handler = func(f *netsim.Frame) {
+		if f.Pkt != nil {
+			last = f.Pkt.Observed
+		}
+	}
+	for i := 0; i < 5; i++ {
+		p := packet.NewTCP(src.IP, dst.IP, 7777, 80, packet.FlagACK, 0)
+		p.Seq = uint64(i + 1)
+		src.SendPacket(p)
+	}
+	d.Run()
+	key := FiveTuple{Src: src.IP, Dst: dst.IP, SrcPort: 7777, DstPort: 80, Proto: packet.ProtoTCP}
+	owner := d.SwitchFor(key).ID()
+	if len(initCalls) != 1 || initCalls[owner] != 1 {
+		t.Errorf("LocalInit calls per switch = %v, want one on switch %d", initCalls, owner)
+	}
+	if last != 105 {
+		t.Errorf("final counter = %d, want 105 (LocalInit seeded 100)", last)
+	}
+}
+
 func TestDeploymentRequiresApp(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -103,16 +103,6 @@ func (d *Deployment) Snapshot() DeploymentSnapshot {
 	return snap
 }
 
-// ChainDigests returns the per-replica state digests of every store
-// chain, [shard][replica] (head first); nil without a store. After
-// quiescence a healthy chain's digests all agree.
-func (d *Deployment) ChainDigests() [][]uint64 {
-	if d.Cluster == nil {
-		return nil
-	}
-	return d.Cluster.ChainDigests()
-}
-
 // ChainAgreement checks that every store chain's replicas digest
 // identically (nil without a store). Meaningful only after quiescence
 // with all store servers recovered.

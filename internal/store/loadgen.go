@@ -309,14 +309,15 @@ func newSweepSender(dst netip.AddrPort, flows []*sweepFlow, cfg SweepConfig) (*s
 
 // readAcks drains acknowledgment datagrams until the socket closes,
 // advancing per-flow watermarks. Acks are cumulative: Seq covers every
-// earlier write of the flow.
+// earlier write of the flow; every one decodes into the same Message.
 func (sn *sweepSender) readAcks() {
 	slots := make([]rxSlot, sn.cfg.syscallBatch())
 	for i := range slots {
 		b := make([]byte, udpBufSize)
 		slots[i].buf = &b
 	}
-	var bt wire.Batch
+	var frames [][]byte
+	var m wire.Message
 	for {
 		n, err := sn.br.ReadBatch(slots)
 		if err != nil {
@@ -325,18 +326,17 @@ func (sn *sweepSender) readAcks() {
 		sn.recvDgrams.Add(uint64(n))
 		for i := 0; i < n; i++ {
 			b := (*slots[i].buf)[:slots[i].n]
-			if wire.IsBatch(b) {
-				if bt.Unmarshal(b) != nil {
-					continue
-				}
-				for _, m := range bt.Msgs {
-					sn.applyAck(m)
+			if !wire.IsBatch(b) {
+				if m.Unmarshal(b) == nil {
+					sn.applyAck(&m)
 				}
 				continue
 			}
-			var m wire.Message
-			if m.Unmarshal(b) == nil {
-				sn.applyAck(&m)
+			frames, err = wire.MemberFrames(b, frames[:0])
+			for j := 0; err == nil && j < len(frames); j++ {
+				if m.Unmarshal(frames[j][2:]) == nil { // past the length prefix
+					sn.applyAck(&m)
+				}
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"log"
 	"net"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -185,6 +186,7 @@ func NewUDPServer(addr, nextAddr string, cfg Config, opts ...UDPOption) (*UDPSer
 			dgrams:      ns.Counter("dgrams"),
 			sheds:       ns.Counter("sheds"),
 			replies:     ns.Counter("replies"),
+			replyDgrams: ns.Counter("reply_dgrams"),
 			relays:      ns.Counter("relays"),
 			relayDgrams: ns.Counter("relay_dgrams"),
 			commits:     ns.Counter("commits"),
@@ -307,7 +309,8 @@ type UDPStats struct {
 
 // UDPShardStats is one shard's slice of the counters.
 type UDPShardStats struct {
-	Dgrams, Sheds, Replies, Relays uint64
+	// Replies counts acknowledged commits, ReplyDgrams the datagrams used.
+	Dgrams, Sheds, Replies, ReplyDgrams, Relays uint64
 	// Commits counts group commits that released at least one relay or
 	// acknowledgment; Dgrams / Commits is the mean commit-group size.
 	Commits               uint64
@@ -325,7 +328,7 @@ func (s *UDPServer) Stats() UDPStats {
 		ps := UDPShardStats{
 			Dgrams: sh.dgrams.Value(), Sheds: sh.sheds.Value(),
 			Replies: sh.replies.Value(), Relays: sh.relays.Value(),
-			Commits:    sh.commits.Value(),
+			ReplyDgrams: sh.replyDgrams.Value(), Commits: sh.commits.Value(),
 			QueueDepth: sh.queueDepth.Value(), QueueHigh: sh.queueDepth.High(),
 		}
 		st.TxBatches += sh.tx.txBatches.Value()
@@ -563,9 +566,9 @@ const (
 	chainEntryHdr      = 16 + 2 + 2 + 2
 	maxChainFrame      = 65507 // largest UDP payload: a longer pack cannot be sent
 	// chainPackBytes is where a shard stops adding a commit group's entries
-	// to one pack: 1500 less the IPv6 and UDP headers, so packing never
-	// relies on IP fragmentation on an Ethernet path. An entry that alone
-	// exceeds it travels alone.
+	// to a pack, or its acknowledgments for one requester to a datagram:
+	// 1500 less the IPv6 and UDP headers, so neither relies on IP
+	// fragmentation. What alone exceeds it travels alone.
 	chainPackBytes = 1452
 	// chainGrowth bounds how far one message's update and acknowledgment
 	// exceed its request encoding, when its flow's state is no wider than
@@ -712,11 +715,15 @@ type udpShard struct {
 	ups          []Update         // applyChain's decode scratch
 	vals         []uint64         // and the arena its updates' values live in
 	one          [1]*wire.Message // handle's one-message batch
+	runs         []ackRun         // commit's acknowledgment datagrams, one open per requester
+	acked        []byte           // commit's replies, marshaled (a span stays valid if append moves it)
+	split        [][]byte         // queueAck's member-frame scratch
 
 	queueDepth  *obs.Gauge
 	dgrams      *obs.Counter
 	sheds       *obs.Counter
-	replies     *obs.Counter
+	replies     *obs.Counter // commits acknowledged
+	replyDgrams *obs.Counter // datagrams their acknowledgments travelled in
 	relays      *obs.Counter // entries sent to the successor
 	relayDgrams *obs.Counter // packs they travelled in
 	commits     *obs.Counter
@@ -901,9 +908,9 @@ func (sh *udpShard) applyChain(d dgram) {
 
 // commit seals the open pack, makes the staged mutations durable (one
 // fsync for the whole burst), and only then releases every held pack and
-// acknowledgment through the shard's egress batch. On a failed sync
-// nothing escapes — the staged WAL records remain for the next attempt and
-// the switches retransmit.
+// acknowledgment through the shard's egress batch, the acknowledgments
+// coalesced per requester. On a failed sync nothing escapes — the staged
+// WAL records remain for the next attempt and the switches retransmit.
 func (sh *udpShard) commit() {
 	if sh.open.entries > 0 {
 		sh.seal()
@@ -921,12 +928,15 @@ func (sh *udpShard) commit() {
 	for i := range sh.pendingRelay {
 		sh.stagePack(&sh.pendingRelay[i])
 	}
-	for i := range sh.pendingOut {
-		po := &sh.pendingOut[i]
-		if sh.sent(sh.tx.stage(po.to, func(b []byte) []byte { return appendAcks(b, po.outs) })) {
-			sh.replies.Inc()
-		}
+	for _, po := range sh.pendingOut {
+		at := len(sh.acked)
+		sh.acked = appendAcks(sh.acked, po.outs)
+		sh.queueAck(po.to, sh.acked[at:])
 	}
+	for i := range sh.runs {
+		sh.stageRun(&sh.runs[i])
+	}
+	sh.runs, sh.acked = sh.runs[:0], sh.acked[:0]
 	sh.dropPending() // staging copied the bytes; recycle the holds
 	sh.sent(sh.tx.flush())
 }
@@ -945,8 +955,8 @@ func (sh *udpShard) dropPending() {
 // stagePack sends a committed pack onward: to the successor, stamped with
 // this replica's view (on every hop, so a replica whose view moved since
 // it received the pack fences itself), or — at the tail, where the updates
-// are now durable on every member — each entry's acknowledgment part to
-// its requester, untouched. The link is read now, not when the pack was
+// are now durable on every member — queues each entry's acknowledgment
+// part for its requester. The link is read now, not when the pack was
 // held, so a control-plane relink applies at once.
 func (sh *udpShard) stagePack(pr *pendingRelay) {
 	if next := sh.srv.next.Load(); next != nil {
@@ -966,11 +976,68 @@ func (sh *udpShard) stagePack(pr *pendingRelay) {
 			return // unreachable: a held pack was built here or decoded whole
 		}
 		b = rest
-		if e.requester.Port() != 0 && len(e.ack) > 0 &&
-			sh.sent(sh.tx.stage(e.requester, func(b []byte) []byte { return append(b, e.ack...) })) {
-			sh.replies.Inc()
+		if e.requester.Port() != 0 && len(e.ack) > 0 {
+			sh.queueAck(e.requester, e.ack)
 		}
 	}
+}
+
+// ackRun is a requester's acknowledgment datagram: spans of held packs and of sh.acked.
+type ackRun struct {
+	to    netip.AddrPort
+	first []byte   // the first commit's acknowledgment datagram
+	msgs  [][]byte // every commit's acknowledgment messages
+	size  int      // the datagram's bytes, msgs framed under one batch header
+	acks  int      // commits acknowledged
+}
+
+// queueAck adds one commit's acknowledgment datagram to its requester's
+// run (scanned for: a commit answers few switches), sending the run first
+// if the datagram's messages would take it past chainPackBytes. A run of
+// one leaves as that datagram, so one past the budget travels unchanged.
+func (sh *udpShard) queueAck(to netip.AddrPort, ack []byte) {
+	i := slices.IndexFunc(sh.runs, func(r ackRun) bool { return r.to == to })
+	if i < 0 { // a reopened slot keeps its msgs' backing array
+		i = len(sh.runs)
+		sh.runs = slices.Grow(sh.runs, 1)[:i+1]
+		sh.runs[i].to = to
+	}
+	r := &sh.runs[i]
+	msgs, err := wire.MemberFrames(ack, sh.split[:0])
+	add := len(ack) - wire.BatchHeaderLen
+	for j := range msgs {
+		msgs[j] = msgs[j][2:] // past the member's length prefix
+	}
+	if err != nil { // not a well-formed batch: one message
+		msgs, add = append(msgs[:0], ack), 2+len(ack)
+	}
+	if sh.split = msgs; r.acks > 0 && r.size+add > chainPackBytes {
+		sh.stageRun(r)
+	}
+	if r.acks == 0 {
+		r.first, r.size = ack, wire.BatchHeaderLen
+	}
+	r.msgs = append(r.msgs, msgs...)
+	r.size += add
+	r.acks++
+}
+
+// stageRun sends a run as one datagram and empties it.
+func (sh *udpShard) stageRun(r *ackRun) {
+	if sh.sent(sh.tx.stage(r.to, func(b []byte) []byte {
+		if r.acks == 1 {
+			return append(b, r.first...)
+		}
+		b = wire.AppendBatchHeader(b, len(r.msgs))
+		for _, m := range r.msgs {
+			b = append(binary.BigEndian.AppendUint16(b, uint16(len(m))), m...)
+		}
+		return b
+	})) {
+		sh.replies.Add(uint64(r.acks))
+		sh.replyDgrams.Inc()
+	}
+	r.msgs, r.acks = r.msgs[:0], 0
 }
 
 // sent reports whether staging a datagram (or flushing the batch) handed
@@ -983,16 +1050,19 @@ func (sh *udpShard) sent(err error) bool {
 }
 
 // appendAcks frames a commit's acknowledgments as the reply datagram a
-// switch expects: one plain frame for a lone ack, one batch otherwise.
+// switch expects: one plain frame for a lone ack, else the bytes
+// wire.Batch.Marshal writes, each message marshaled straight into b.
 func appendAcks(b []byte, outs []Output) []byte {
 	if len(outs) == 1 {
 		return outs[0].Msg.Marshal(b)
 	}
-	bt := wire.Batch{Msgs: make([]*wire.Message, len(outs))}
-	for i, o := range outs {
-		bt.Msgs[i] = o.Msg
+	b = wire.AppendBatchHeader(b, len(outs))
+	for _, o := range outs {
+		at := len(b)
+		b = o.Msg.Marshal(append(b, 0, 0))
+		binary.BigEndian.PutUint16(b[at:], uint16(len(b)-at-2))
 	}
-	return bt.Marshal(b)
+	return b
 }
 
 // flushLeases grants queued lease requests whose blocking leases

@@ -1,13 +1,16 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"net"
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"redplane/internal/obs"
 	"redplane/internal/packet"
 	"redplane/internal/wire"
 )
@@ -299,13 +302,56 @@ func TestUDPOversizeRequestRefused(t *testing.T) {
 	}
 }
 
+// greedyFill counts the datagrams a greedy fill at item boundaries puts
+// items of these sizes in: each datagram starts with hdr bytes and is
+// closed when the next item would take it past chainPackBytes.
+func greedyFill(hdr int, sizes []int) int {
+	n, fill := 0, 0
+	for _, s := range sizes {
+		if n == 0 || fill+s > chainPackBytes {
+			n, fill = n+1, hdr
+		}
+		fill += s
+	}
+	return n
+}
+
+// readAcks reads conn's acknowledgments, batch or plain, until want of
+// them arrived, and then requires 20 ms of silence.
+func readAcks(t *testing.T, conn *net.UDPConn, want int) []*wire.Message {
+	t.Helper()
+	var acks []*wire.Message
+	buf := make([]byte, 65536)
+	for len(acks) < want {
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		n, _, err := conn.ReadFromUDP(buf)
+		if err != nil {
+			t.Fatalf("%d of %d acks: %v", len(acks), want, err)
+		}
+		acks = append(acks, decodeAcks(buf[:n])...)
+	}
+	conn.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
+	if n, _, err := conn.ReadFromUDP(buf); err == nil || len(acks) > want {
+		t.Fatalf("%d acks and then %d bytes, beyond the %d expected", len(acks), n, want)
+	}
+	return acks
+}
+
+func shardCounter(srv *UDPServer, name string) uint64 {
+	return srv.Obs().NS("udp-shard0").Counter(name).Value()
+}
+
 // TestUDPChainPackBoundaries pins how a commit group's entries fill chain
-// packs. The group is made deterministic by queueing its datagrams on the
-// head's socket before the head serves: one recvmmsg delivers them all and
-// the shard commits them together, so the head sends exactly the packs a
-// greedy fill at entry boundaries gives, every replica forwards them as
-// they came, and the tail acknowledges each entry to its own requester.
-// Then an entry that alone exceeds the budget travels alone.
+// packs and its acknowledgments fill reply datagrams. The group is made
+// deterministic by queueing its datagrams on the head's socket before the
+// head serves: one recvmmsg delivers them all and the shard commits them
+// together, so the head sends exactly the packs a greedy fill at entry
+// boundaries gives and every replica forwards them as they came. The
+// tail serves once they are all queued on its socket, so it commits them
+// together too: each requester gets its own acknowledgments, coalesced in
+// the datagrams a greedy fill per requester gives, though the two
+// requesters' entries alternate. Then an entry that alone exceeds the
+// budget travels alone, and its acknowledgment batch arrives whole.
 func TestUDPChainPackBoundaries(t *testing.T) {
 	const n = 30 // one rx batch (32) holds the group
 	cfg := Config{LeasePeriod: time.Minute}
@@ -319,12 +365,8 @@ func TestUDPChainPackBoundaries(t *testing.T) {
 		next = srv.Addr().String()
 		servers = append([]*UDPServer{srv}, servers...)
 	}
-	head := servers[0]
-	go func() { _ = servers[1].Serve() }()
-	go func() { _ = servers[2].Serve() }()
-	counter := func(srv *UDPServer, name string) uint64 {
-		return srv.Obs().NS("udp-shard0").Counter(name).Value()
-	}
+	head, mid, tail := servers[0], servers[1], servers[2]
+	go func() { _ = mid.Serve() }()
 
 	// Switch 1 holds the even flows' leases and switch 2 the odd ones', on
 	// the head and on a reference shard that predicts each entry's size.
@@ -348,48 +390,46 @@ func TestUDPChainPackBoundaries(t *testing.T) {
 		defer conn.Close()
 		conns[i] = conn
 	}
-	wantPacks, fill := 0, 0
+	var entries []int
+	var acks [2][]int // each requester's acknowledgments, as batch members
 	for i := 0; i < n; i++ {
 		if _, err := conns[i%2].WriteToUDP(write(i).Marshal(nil), head.Addr().(*net.UDPAddr)); err != nil {
 			t.Fatal(err)
 		}
 		outs, ups := ref.ProcessBatch(time.Now().UnixNano(), []*wire.Message{write(i)})
-		size := len(appendChainEntry(nil, localAddrPort(conns[i%2]), ups, outs))
-		if fill == 0 || fill+size > chainPackBytes {
-			wantPacks, fill = wantPacks+1, chainPackHdr
-		}
-		fill += size
+		entries = append(entries, len(appendChainEntry(nil, localAddrPort(conns[i%2]), ups, outs)))
+		acks[i%2] = append(acks[i%2], 2+len(appendAcks(nil, outs)))
 	}
+	wantPacks := greedyFill(chainPackHdr, entries)
+	wantReplies := greedyFill(wire.BatchHeaderLen, acks[0]) + greedyFill(wire.BatchHeaderLen, acks[1])
 	if wantPacks < 2 || wantPacks > n/4 {
 		t.Fatalf("%d entries predicted to fill %d packs: the group should span a few", n, wantPacks)
 	}
 	go func() { _ = head.Serve() }()
+	// tx_dgrams counts a datagram once the kernel has it: on loopback, once
+	// it is queued on the tail's socket.
+	for deadline := time.Now().Add(5 * time.Second); shardCounter(mid, "relays") != n || mid.Stats().TxDgrams != shardCounter(mid, "relay_dgrams"); {
+		if time.Now().After(deadline) {
+			t.Fatalf("the middle relayed %d of %d entries", shardCounter(mid, "relays"), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	go func() { _ = tail.Serve() }()
 
-	buf := make([]byte, 2048)
 	for ci, conn := range conns {
 		got := map[packet.FiveTuple]bool{}
-		for len(got) < n/2 {
-			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-			m, _, err := conn.ReadFromUDP(buf)
-			if err != nil {
-				t.Fatalf("switch %d: %d of %d acks: %v", ci+1, len(got), n/2, err)
-			}
-			var ack wire.Message
-			if err := ack.Unmarshal(buf[:m]); err != nil || ack.Type != wire.MsgReplAck || ack.Seq != 1 || ack.SwitchID != ci+1 || got[ack.Key] {
-				t.Fatalf("switch %d: ack %+v (%v): not one of its own, or a duplicate", ci+1, ack, err)
+		for _, ack := range readAcks(t, conn, n/2) {
+			if ack.Type != wire.MsgReplAck || ack.Seq != 1 || ack.SwitchID != ci+1 || got[ack.Key] {
+				t.Fatalf("switch %d: ack %+v: not one of its own, or a duplicate", ci+1, ack)
 			}
 			got[ack.Key] = true
-		}
-		conn.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
-		if m, _, err := conn.ReadFromUDP(buf); err == nil {
-			t.Errorf("switch %d: %d bytes beyond its %d acks", ci+1, m, n/2)
 		}
 	}
 	for i := 0; i < n; i++ {
 		waitReplicas(t, servers, key(i), 1)
 	}
 	for i, srv := range servers[:2] {
-		relays, packs := counter(srv, "relays"), counter(srv, "relay_dgrams")
+		relays, packs := shardCounter(srv, "relays"), shardCounter(srv, "relay_dgrams")
 		if relays != n {
 			t.Errorf("replica %d relayed %d entries, want %d", i, relays, n)
 		}
@@ -400,8 +440,15 @@ func TestUDPChainPackBoundaries(t *testing.T) {
 			t.Errorf("replica %d sent %d packs for %d entries", i, packs, n)
 		}
 	}
-	if got := counter(servers[2], "replies"); got != n {
-		t.Errorf("tail sent %d acknowledgments, want %d", got, n)
+	replies, dgrams := shardCounter(tail, "replies"), shardCounter(tail, "reply_dgrams")
+	if replies != n {
+		t.Errorf("tail acknowledged %d commits, want %d", replies, n)
+	}
+	if head.IOPath() == "mmsg" && dgrams != uint64(wantReplies) {
+		t.Errorf("tail sent %d ack datagrams, want the per-requester greedy fill's %d", dgrams, wantReplies)
+	}
+	if dgrams == 0 || dgrams > n {
+		t.Errorf("tail sent %d ack datagrams for %d commits", dgrams, n)
 	}
 
 	// Sixteen flows' writes in one request: one commit, one entry, larger
@@ -422,13 +469,17 @@ func TestUDPChainPackBoundaries(t *testing.T) {
 	if least := len(big) * (2 + len(EncodeUpdate(nil, Update{Vals: big[0].Vals}))); least <= chainPackBytes {
 		t.Fatalf("the request's updates alone are %d bytes: not past the %d-byte budget", least, chainPackBytes)
 	}
-	relays, packs := counter(head, "relays"), counter(head, "relay_dgrams")
-	acks, err := c.RequestBatch(big)
-	if err != nil || len(acks) != 16 {
-		t.Fatalf("16-flow request: %d acks (%v)", len(acks), err)
+	relays, packs := shardCounter(head, "relays"), shardCounter(head, "relay_dgrams")
+	replies, dgrams = shardCounter(tail, "replies"), shardCounter(tail, "reply_dgrams")
+	bigAcks, err := c.RequestBatch(big)
+	if err != nil || len(bigAcks) != 16 {
+		t.Fatalf("16-flow request: %d acks (%v)", len(bigAcks), err)
 	}
-	if dr, dp := counter(head, "relays")-relays, counter(head, "relay_dgrams")-packs; dr != 1 || dp != 1 {
+	if dr, dp := shardCounter(head, "relays")-relays, shardCounter(head, "relay_dgrams")-packs; dr != 1 || dp != 1 {
 		t.Errorf("16-flow request left the head as %d entries in %d packs, want 1 in 1", dr, dp)
+	}
+	if dr, dd := shardCounter(tail, "replies")-replies, shardCounter(tail, "reply_dgrams")-dgrams; dr != 1 || dd != 1 {
+		t.Errorf("16-flow request's acks left the tail as %d commits in %d datagrams, want 1 in 1", dr, dd)
 	}
 	if got := servers[1].Stats().BadDgrams + servers[2].Stats().BadDgrams; got != 0 {
 		t.Errorf("successors dropped %d datagrams", got)
@@ -440,6 +491,126 @@ func TestUDPChainPackBoundaries(t *testing.T) {
 		if d, want := srv.Digest(), head.Digest(); d != want {
 			t.Errorf("replica %d digest %#x != head's %#x", i, d, want)
 		}
+	}
+}
+
+// TestUDPUnchainedRepliesCoalesced: an unchained server answers a commit
+// group's requests from one switch in the datagrams a greedy fill of their
+// acknowledgments gives — the group made deterministic, as above, by
+// queueing it before the server serves — each write acknowledged once, a
+// batched request's acknowledgments flattened in among the others.
+func TestUDPUnchainedRepliesCoalesced(t *testing.T) {
+	const n = 30 // one-write requests; with the batched one, one rx batch (32) holds the group
+	srv, err := NewUDPServer("127.0.0.1:0", "", Config{LeasePeriod: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	key := func(i int) packet.FiveTuple { k := udpKey(); k.SrcPort = uint16(4000 + i); return k }
+	var leases []Update
+	var sizes []int
+	var batch wire.Batch // writes n and n+1, the group's last request
+	for i := 0; i < n+2; i++ {
+		leases = append(leases, Update{Key: key(i), Owner: 1, LeaseExpiry: time.Now().Add(time.Minute).UnixNano(), Exists: true})
+		m := &wire.Message{Type: wire.MsgRepl, Key: key(i), Seq: 1, Vals: []uint64{uint64(i)}, SwitchID: 1}
+		if i >= n {
+			batch.Msgs = append(batch.Msgs, m)
+		} else if _, err := conn.WriteToUDP(m.Marshal(nil), srv.Addr().(*net.UDPAddr)); err != nil {
+			t.Fatal(err)
+		}
+		ack := wire.Message{Type: wire.MsgReplAck, Key: key(i), Seq: 1, SwitchID: 1}
+		sizes = append(sizes, 2+len(ack.Marshal(nil)))
+	}
+	if _, err := conn.WriteToUDP(batch.Marshal(nil), srv.Addr().(*net.UDPAddr)); err != nil {
+		t.Fatal(err)
+	}
+	srv.InstallState(leases, false)
+	go func() { _ = srv.Serve() }()
+
+	got := map[packet.FiveTuple]bool{}
+	for _, ack := range readAcks(t, conn, n+2) {
+		if ack.Type != wire.MsgReplAck || ack.Seq != 1 || got[ack.Key] {
+			t.Fatalf("ack %+v: not a write's, or a duplicate", ack)
+		}
+		got[ack.Key] = true
+	}
+	st := srv.Stats().PerShard[0]
+	want := greedyFill(wire.BatchHeaderLen, sizes)
+	if st.Replies != n+1 {
+		t.Errorf("%d commits acknowledged, want %d", st.Replies, n+1)
+	}
+	if srv.IOPath() == "mmsg" && st.ReplyDgrams != uint64(want) {
+		t.Errorf("%d ack datagrams, want the greedy fill's %d", st.ReplyDgrams, want)
+	}
+	if st.ReplyDgrams == 0 || st.ReplyDgrams > n {
+		t.Errorf("%d ack datagrams for %d commits", st.ReplyDgrams, n)
+	}
+}
+
+// TestUDPLoneAckIsPlainFrame: on an idle chain nothing is coalesced, and a
+// write's acknowledgment arrives as the plain frame it always was.
+func TestUDPLoneAckIsPlainFrame(t *testing.T) {
+	servers := startUDPChain(t, 3, Config{LeasePeriod: time.Minute})
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	key := udpKey()
+	buf := make([]byte, 2048)
+	for _, m := range []wire.Message{
+		{Type: wire.MsgLeaseNew, Key: key, SwitchID: 1},
+		{Type: wire.MsgRepl, Key: key, Seq: 1, Vals: []uint64{7}, SwitchID: 1},
+	} {
+		if _, err := conn.WriteToUDP(m.Marshal(nil), servers[0].Addr().(*net.UDPAddr)); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		n, _, err := conn.ReadFromUDP(buf)
+		if err != nil {
+			t.Fatalf("%v: %v", m.Type, err)
+		}
+		if m.Type == wire.MsgRepl {
+			ack := wire.Message{Type: wire.MsgReplAck, Seq: 1, Key: key, SwitchID: 1}
+			if want := ack.Marshal(nil); !bytes.Equal(buf[:n], want) {
+				t.Fatalf("write acknowledged with %x, want the plain frame %x", buf[:n], want)
+			}
+		}
+	}
+	if r, d := shardCounter(servers[2], "replies"), shardCounter(servers[2], "reply_dgrams"); r != 2 || d != 2 {
+		t.Errorf("tail: %d commits acknowledged in %d datagrams, want 2 in 2", r, d)
+	}
+}
+
+// TestAppendAcksNoAllocs: a commit's reply is one plain frame for a lone
+// ack and the bytes wire.Batch.Marshal writes for several, built without
+// allocating.
+func TestAppendAcksNoAllocs(t *testing.T) {
+	var outs []Output
+	var bt wire.Batch
+	for i := 0; i < 16; i++ {
+		k := udpKey()
+		k.SrcPort = uint16(i)
+		m := &wire.Message{Type: wire.MsgReplAck, Seq: uint64(i), Key: k, SwitchID: 1, Vals: make([]uint64, i%3)}
+		outs, bt.Msgs = append(outs, Output{DstSwitch: 1, Msg: m}), append(bt.Msgs, m)
+	}
+	if got, want := appendAcks(nil, outs[:1]), outs[0].Msg.Marshal(nil); !bytes.Equal(got, want) {
+		t.Errorf("one ack framed as %x, want the plain frame %x", got, want)
+	}
+	for _, n := range []int{2, 16} {
+		sub := wire.Batch{Msgs: bt.Msgs[:n]}
+		if got, want := appendAcks([]byte{0xAA}, outs[:n]), sub.Marshal([]byte{0xAA}); !bytes.Equal(got, want) {
+			t.Errorf("%d acks framed as %x, want wire.Batch.Marshal's %x", n, got, want)
+		}
+	}
+	buf := make([]byte, 0, 4096)
+	if allocs := testing.AllocsPerRun(100, func() { buf = appendAcks(buf[:0], outs) }); allocs != 0 {
+		t.Errorf("appendAcks allocates %.1f times per 16-ack reply", allocs)
 	}
 }
 
@@ -547,7 +718,8 @@ func TestUDPHostileChainFrames(t *testing.T) {
 		}
 	}
 	// The controls: the same bytes, well formed, go through — this server
-	// has no successor, so it is the tail and acknowledges entry by entry.
+	// has no successor, so it is the tail and acknowledges every entry, in
+	// order, batch-framed or plain.
 	for _, tc := range cases {
 		if tc.acks == 0 {
 			continue
@@ -555,24 +727,15 @@ func TestUDPHostileChainFrames(t *testing.T) {
 		if _, err := conn.WriteToUDP(tc.frame, srv.Addr().(*net.UDPAddr)); err != nil {
 			t.Fatal(err)
 		}
+		acks := readAcks(t, conn, tc.acks)
 		for i, want := range []packet.FiveTuple{keys[0], keys[2]}[:tc.acks] {
-			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-			n, _, err := conn.ReadFromUDP(buf)
-			if err != nil {
-				t.Fatalf("%s: entry %d not acknowledged: %v", tc.name, i, err)
-			}
-			var ack wire.Message
-			if err := ack.Unmarshal(buf[:n]); err != nil || ack.Type != wire.MsgReplAck || ack.Seq != 3 || ack.Key != want {
-				t.Fatalf("%s: ack %d = %+v (%v), want seq 3 of %v", tc.name, i, ack, err, want)
+			if ack := acks[i]; ack.Type != wire.MsgReplAck || ack.Seq != 3 || ack.Key != want {
+				t.Fatalf("%s: ack %d = %+v, want seq 3 of %v", tc.name, i, ack, want)
 			}
 			if vals, seq, ok := srv.State(want); !ok || seq != 3 || !reflect.DeepEqual(vals, []uint64{5, 6}) {
 				t.Fatalf("%s: applied state of %v = %v seq %d ok=%v", tc.name, want, vals, seq, ok)
 			}
 		}
-	}
-	conn.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
-	if n, _, err := conn.ReadFromUDP(buf); err == nil {
-		t.Errorf("%d bytes beyond one acknowledgment per entry", n)
 	}
 }
 
@@ -598,16 +761,68 @@ func TestChainFrameRequesterRoundTrip(t *testing.T) {
 	}
 }
 
+// captureWriter keeps what a shard sends instead of sending it.
+type captureWriter struct{ sent []txSlot }
+
+func (w *captureWriter) WriteBatch(slots []txSlot) error {
+	for _, s := range slots {
+		w.sent = append(w.sent, txSlot{buf: append([]byte(nil), s.buf...), addr: s.addr})
+	}
+	return nil
+}
+
+// tailAcks commits one held pack on the shard of an unchained server
+// whose egress is captured: what a tail sends for the pack, with no socket.
+func tailAcks(pack []byte, entries int) (sent []txSlot, replies, dgrams uint64) {
+	w := &captureWriter{}
+	c := func() *obs.Counter { return new(obs.Counter) }
+	sh := &udpShard{srv: &UDPServer{}, commits: c(), replies: c(), replyDgrams: c(),
+		tx: &txBatcher{bw: w, slots: make([]txSlot, txBatch), txBatches: c(), txDgrams: c()}}
+	held := append([]byte(nil), pack...)
+	sh.pendingRelay = append(sh.pendingRelay, pendingRelay{base: &held, pack: held, entries: entries})
+	sh.commit()
+	return w.sent, sh.replies.Value(), sh.replyDgrams.Value()
+}
+
+// ackUnits is what a switch decodes an acknowledgment datagram into: a
+// batch's member messages, or else the datagram itself — a plain frame, or
+// a malformed batch that a tail passes on as it came.
+func ackUnits(b []byte) [][]byte {
+	frames, err := wire.MemberFrames(b, nil)
+	if err != nil {
+		return [][]byte{b}
+	}
+	for i := range frames {
+		frames[i] = frames[i][2:]
+	}
+	return frames
+}
+
 // FuzzChainFrame holds the decoder to its contract on arbitrary bytes:
 // no panic, whole-pack-or-nothing, the tail's walk of an accepted pack
 // covers exactly its bytes in as many entries as the decoder counted, and
-// whatever was accepted survives a re-encode and applies to a shard. It
-// touches no socket.
+// whatever was accepted survives a re-encode and applies to a shard. What
+// the tail sends for an accepted pack is each requester's acknowledgment
+// parts and nothing else, batch-framed or plain: their messages once each,
+// a lone part as its own bytes, no datagram past the budget but a part
+// that was already. It touches no socket.
 func FuzzChainFrame(f *testing.F) {
-	cases, _ := chainFrameCases(netip.MustParseAddrPort("127.0.0.1:9501"))
+	requester := netip.MustParseAddrPort("127.0.0.1:9501")
+	cases, keys := chainFrameCases(requester)
 	for _, tc := range cases {
 		f.Add(tc.frame)
 	}
+	// A pack whose acknowledgments to one requester need two datagrams,
+	// every fifth entry's a batch of two.
+	many := []byte{chainMagic, 0, 0, 0, 0, 0, 0, 0, 0}
+	for seq := uint64(1); seq <= 40; seq++ {
+		acks := []Output{{Msg: &wire.Message{Type: wire.MsgReplAck, Seq: seq, Key: keys[0], SwitchID: 1}}}
+		if seq%5 == 0 {
+			acks = append(acks, Output{Msg: &wire.Message{Type: wire.MsgReplAck, Seq: seq, Key: keys[2], SwitchID: 1}})
+		}
+		many = appendChainEntry(many, requester, []Update{{Key: keys[0], LastSeq: seq, Exists: true}}, acks)
+	}
+	f.Add(many)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		key, routable := packFirstKey(b)
 		ups, entries, err := decodeChainPack(b, nil, nil)
@@ -615,6 +830,7 @@ func FuzzChainFrame(f *testing.F) {
 			return
 		}
 		walked, updates := 0, 0
+		parts := map[netip.AddrPort][][]byte{}
 		for rest := b[chainPackHdr:]; len(rest) > 0; walked++ {
 			e, after, err := nextChainEntry(rest)
 			if err != nil {
@@ -622,6 +838,9 @@ func FuzzChainFrame(f *testing.F) {
 			}
 			if chainEntryHdr+len(e.ups)+len(e.ack)+len(after) != len(rest) {
 				t.Fatalf("entry %d: %d+%d+%d bytes and %d after it, of %d", walked, chainEntryHdr, len(e.ups), len(e.ack), len(after), len(rest))
+			}
+			if e.requester.Port() != 0 && len(e.ack) > 0 {
+				parts[e.requester] = append(parts[e.requester], e.ack)
 			}
 			updates += int(binary.BigEndian.Uint16(rest[chainEntryHdr-4:]))
 			rest = after
@@ -645,6 +864,36 @@ func FuzzChainFrame(f *testing.F) {
 		sh := NewShard(Config{})
 		for _, up := range ups {
 			sh.Apply(up)
+		}
+
+		sent, replies, dgrams := tailAcks(b, entries)
+		got, to := map[netip.AddrPort][][]byte{}, map[netip.AddrPort][][]byte{}
+		for _, s := range sent {
+			if len(s.buf) > chainPackBytes && !slices.ContainsFunc(parts[s.addr], func(p []byte) bool { return bytes.Equal(p, s.buf) }) {
+				t.Fatalf("a %d-byte datagram to %v is past the budget and not one acknowledgment part", len(s.buf), s.addr)
+			}
+			got[s.addr] = append(got[s.addr], ackUnits(s.buf)...)
+			to[s.addr] = append(to[s.addr], s.buf)
+		}
+		nparts := 0
+		for req, ps := range parts {
+			nparts += len(ps)
+			if len(ps) == 1 && (len(to[req]) != 1 || !bytes.Equal(to[req][0], ps[0])) {
+				t.Fatalf("%v's lone acknowledgment part %x left as %x", req, ps[0], to[req])
+			}
+			var want [][]byte
+			for _, p := range ps {
+				want = append(want, ackUnits(p)...)
+			}
+			slices.SortFunc(want, bytes.Compare)
+			slices.SortFunc(got[req], bytes.Compare)
+			if !slices.EqualFunc(want, got[req], bytes.Equal) {
+				t.Fatalf("%v was sent %x, want the messages %x", req, got[req], want)
+			}
+		}
+		if len(got) != len(parts) || replies != uint64(nparts) || dgrams != uint64(len(sent)) {
+			t.Fatalf("%d requesters named, %d sent to; replies %d of %d parts, reply_dgrams %d of %d sent",
+				len(parts), len(got), replies, nparts, dgrams, len(sent))
 		}
 	})
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"net"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -250,10 +251,11 @@ func TestUDPGroupCommitSelfClocked(t *testing.T) {
 }
 
 // TestUDPChainPacksWaitForSync pins durable ⊇ forwarded ⊇ acked on a
-// chained head: no pack leaves before the fsync covering its entries; a
-// relink while the pack is held applies to it; and when a group's fsync
-// fails, its sealed and open packs are dropped alike — nothing forwarded,
-// nothing acknowledged — until retransmissions re-propagate the writes.
+// chained head: no pack leaves, and nothing reaches either of two
+// requesters, before the fsync covering their entries; a relink while the
+// pack is held applies to it; and when a group's fsync fails, its sealed
+// and open packs are dropped alike — nothing forwarded, nothing
+// acknowledged — until retransmissions re-propagate the writes.
 func TestUDPChainPacksWaitForSync(t *testing.T) {
 	const followers = 20 // more entries than one pack holds
 	cfg := Config{LeasePeriod: time.Minute}
@@ -283,9 +285,16 @@ func TestUDPChainPacksWaitForSync(t *testing.T) {
 	write := func(i int) *wire.Message {
 		return &wire.Message{Type: wire.MsgRepl, Key: key(i), Seq: 1, Vals: []uint64{uint64(i)}, SwitchID: 1}
 	}
+	// The followers come from two requesters, alternating.
+	other, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	requesters := []*net.UDPConn{c.conn, other}
 	send := func(i int) {
 		t.Helper()
-		if _, err := c.conn.WriteToUDP(write(i).Marshal(nil), c.head); err != nil {
+		if _, err := requesters[i%2].WriteToUDP(write(i).Marshal(nil), c.head); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -319,10 +328,16 @@ func TestUDPChainPacksWaitForSync(t *testing.T) {
 	if relays.Value() != base || tails[0].Stats().RxDgrams != rx0 || tails[1].Stats().RxDgrams != rx1 {
 		t.Fatal("a pack left the head before the fsync covering it returned")
 	}
+	buf := make([]byte, 2048)
+	for i, conn := range requesters {
+		conn.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
+		if n, _, err := conn.ReadFromUDP(buf); err == nil {
+			t.Fatalf("requester %d got %d bytes before the fsync covering its writes returned", i, n)
+		}
+	}
 	close(gate.release)
 
 	// Write 0's pack was held across the relink: the new successor gets it.
-	buf := make([]byte, 2048)
 	c.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	n, _, err := c.conn.ReadFromUDP(buf)
 	if acks := decodeAcks(buf[:n]); err != nil || len(acks) != 1 || acks[0].Key != key(0) {
@@ -339,6 +354,10 @@ func TestUDPChainPacksWaitForSync(t *testing.T) {
 	gate.fail.Store(false)
 	if ack, err := c.Request(write(followers + 1)); err != nil || ack.Key != key(followers+1) {
 		t.Fatalf("barrier write: %+v (%v): an ack of the failed group escaped, or none came", ack, err)
+	}
+	other.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
+	if n, _, err := other.ReadFromUDP(buf); err == nil {
+		t.Errorf("the second requester got %d bytes though its writes' fsync failed", n)
 	}
 	if got := relays.Value() - base; got != 2 {
 		t.Errorf("head sent %d packs, want 2: the first write's and the barrier's", got)

@@ -33,8 +33,9 @@ const batchMagic byte = 0xB7
 // batchVersion is the framing version, for forward compatibility.
 const batchVersion byte = 1
 
-// batchHeaderLen is magic + version + count.
-const batchHeaderLen = 4
+// BatchHeaderLen is magic + version + count: the bytes a batch adds to
+// its members' length-prefixed frames.
+const BatchHeaderLen = 4
 
 // MaxBatchMsgs bounds the messages per batch (the count field is 16-bit,
 // but practical batches stay far below this: egress flush windows cap
@@ -46,7 +47,7 @@ var errBadBatch = errors.New("wire: malformed batch")
 
 // IsBatch reports whether a datagram payload is batch-framed.
 func IsBatch(b []byte) bool {
-	return len(b) >= batchHeaderLen && b[0] == batchMagic && b[1] == batchVersion
+	return len(b) >= BatchHeaderLen && b[0] == batchMagic && b[1] == batchVersion
 }
 
 // Len returns the number of messages in the batch.
@@ -57,7 +58,7 @@ func (bt *Batch) Len() int { return len(bt.Msgs) }
 // its header, values, and piggyback, plus the 2-byte length prefix, but
 // not its own Ethernet/IP/UDP framing — that is the batching win.
 func (bt *Batch) WireLen() int {
-	n := packet.EthernetLen + packet.IPv4Len + packet.UDPLen + batchHeaderLen
+	n := packet.EthernetLen + packet.IPv4Len + packet.UDPLen + BatchHeaderLen
 	for _, m := range bt.Msgs {
 		n += 2 + headerLen + 8*len(m.Vals)
 		if m.Piggyback != nil {
@@ -75,11 +76,7 @@ func (bt *Batch) WireLen() int {
 // per-message intermediate allocation), with their length prefixes
 // back-patched.
 func (bt *Batch) Marshal(b []byte) []byte {
-	if len(bt.Msgs) > MaxBatchMsgs {
-		panic("wire: batch too large")
-	}
-	b = append(b, batchMagic, batchVersion)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(bt.Msgs)))
+	b = AppendBatchHeader(b, len(bt.Msgs))
 	for _, m := range bt.Msgs {
 		lenAt := len(b)
 		b = append(b, 0, 0)
@@ -104,7 +101,7 @@ func MemberFrames(b []byte, frames [][]byte) ([][]byte, error) {
 		return frames, errBadBatch
 	}
 	count := int(binary.BigEndian.Uint16(b[2:4]))
-	b = b[batchHeaderLen:]
+	b = b[BatchHeaderLen:]
 	for i := 0; i < count; i++ {
 		if len(b) < 2 {
 			return frames, errBadBatch
@@ -128,15 +125,21 @@ func MemberFrames(b []byte, frames [][]byte) ([][]byte, error) {
 // the result is byte-identical to marshaling a Batch of the same
 // messages — without touching any member's encoding.
 func AppendBatchFrames(dst []byte, frames ...[]byte) []byte {
-	if len(frames) > MaxBatchMsgs {
-		panic("wire: batch too large")
-	}
-	dst = append(dst, batchMagic, batchVersion)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(frames)))
+	dst = AppendBatchHeader(dst, len(frames))
 	for _, f := range frames {
 		dst = append(dst, f...)
 	}
 	return dst
+}
+
+// AppendBatchHeader appends the framing of a batch of n members to dst;
+// the caller appends their length-prefixed frames after it.
+func AppendBatchHeader(dst []byte, n int) []byte {
+	if n > MaxBatchMsgs {
+		panic("wire: batch too large")
+	}
+	dst = append(dst, batchMagic, batchVersion)
+	return binary.BigEndian.AppendUint16(dst, uint16(n))
 }
 
 // Unmarshal decodes a batch datagram. Member messages are decoded into
@@ -146,7 +149,7 @@ func (bt *Batch) Unmarshal(b []byte) error {
 		return errBadBatch
 	}
 	count := int(binary.BigEndian.Uint16(b[2:4]))
-	b = b[batchHeaderLen:]
+	b = b[BatchHeaderLen:]
 	bt.Msgs = make([]*Message, 0, count)
 	for i := 0; i < count; i++ {
 		if len(b) < 2 {

@@ -101,8 +101,8 @@ func TestBatchWireLenAmortizesEncap(t *testing.T) {
 	if bt.WireLen() >= separate {
 		t.Errorf("batch WireLen %d >= sum of separate %d", bt.WireLen(), separate)
 	}
-	if bt.WireLen() != len(bt.Marshal(nil))-batchHeaderLen+
-		(packet.EthernetLen+packet.IPv4Len+packet.UDPLen+batchHeaderLen) {
+	if bt.WireLen() != len(bt.Marshal(nil))-BatchHeaderLen+
+		(packet.EthernetLen+packet.IPv4Len+packet.UDPLen+BatchHeaderLen) {
 		// WireLen = marshaled payload + one encap; spelled out so a
 		// framing change that breaks the relationship fails loudly.
 		t.Errorf("WireLen %d inconsistent with marshaled size %d", bt.WireLen(), len(bt.Marshal(nil)))

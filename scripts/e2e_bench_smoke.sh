@@ -6,16 +6,19 @@
 # (chain3-pkt) and with a WAL per replica (chain3-wal-pkt), requires
 # both to pass their output checks with no failed write, and fails
 # unless WAL goodput is at least 0.6x the volatile goodput of the same
-# job. The ratio is host-independent: the WAL itself is ~2 % of a write,
-# so a self-clocked group commit keeps it near 0.95, while any linger on
-# the commit path (Go's netpoller rounds an idle-P timer to ~1 ms)
-# drags it to ~0.28.
+# job. The ratio is host-independent: the WAL itself is a small share of
+# a write, so a self-clocked group commit keeps it near 0.9 (0.88 with
+# acknowledgments coalesced per requester, 0.90–0.95 before: the WAL's
+# share grows as the rest of a write shrinks), while any linger on the
+# commit path (Go's netpoller rounds an idle-P timer to ~1 ms) drags it
+# to ~0.28.
 #
 # A third, traced chain3-pkt run gives a second host-independent ratio:
 # the CPU one more replica costs a write (udp.hop_cpu_us) must be at most
-# 0.15 of the CPU of the whole write (cpu_us_per_write) — 0.06 with a
-# commit group's entries packed into MTU-sized chain datagrams, 0.24 with
-# one datagram per commit.
+# 0.15 of the CPU of the whole write (cpu_us_per_write) — 0.10 with a
+# commit group's entries packed into MTU-sized chain datagrams and its
+# acknowledgments coalesced (0.06 with packing alone: the hop costs the
+# same, the whole write less), 0.24 with one datagram per commit.
 #
 # Usage:
 #   scripts/e2e_bench_smoke.sh

@@ -10,7 +10,8 @@
 // The server shards flows across -shards owner goroutines (default: one
 // per core) fed by batched recvmmsg reads, and egresses through
 // per-shard sendmmsg batches of up to 32 datagrams each (see DESIGN.md
-// "Per-core sharding on the real-UDP path").
+// "Per-core sharding on the real-UDP path"); a build with
+// -tags portablemmsg uses one datagram per syscall instead.
 // Every member of one chain must run the same -shards: a commit goes to
 // the same-numbered shard of the successor. Pin it when hosts differ.
 //
@@ -64,8 +65,6 @@ func main() {
 	maxWaiting := flag.Int("max-waiting", 0,
 		"per-flow buffered lease-request queue bound (0 = default)")
 	shards := flag.Int("shards", 0, "shard-owner goroutines; flows hash to shards (0 = one per core); must be equal across a chain")
-	portableIO := flag.Bool("portable-io", false,
-		"force one-datagram-per-syscall IO even where recvmmsg/sendmmsg is available")
 	walDir := flag.String("wal-dir", "",
 		"directory for the write-ahead log and checkpoints (empty = volatile, in-memory only)")
 	segmentBytes := flag.Int("segment-bytes", 0,
@@ -85,15 +84,11 @@ func main() {
 	if *shards == 0 {
 		*shards = runtime.NumCPU()
 	}
-	opts := []store.UDPOption{store.WithUDPShards(*shards)}
-	if *portableIO {
-		opts = append(opts, store.WithUDPPortableIO())
-	}
 	srv, err := store.NewUDPServer(*listen, *next, store.Config{
 		LeasePeriod:   *lease,
 		SnapshotSlots: *snapshotSlots,
 		MaxWaiting:    *maxWaiting,
-	}, opts...)
+	}, store.WithUDPShards(*shards))
 	if err != nil {
 		log.Fatalf("redplane-store: %v", err)
 	}

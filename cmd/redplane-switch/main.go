@@ -187,9 +187,9 @@ func main() {
 	pct := func(p float64) time.Duration {
 		return lats[int(p*float64(len(lats)-1))]
 	}
-	total := *flows * (*writes + 2)
+	// One entry per timed round trip: a batch of -batch writes is one.
 	fmt.Printf("redplane-switch: %d requests in %v (%.0f req/s)\n",
-		total, elapsed.Round(time.Millisecond), float64(total)/elapsed.Seconds())
+		len(lats), elapsed.Round(time.Millisecond), float64(len(lats))/elapsed.Seconds())
 	fmt.Printf("latency: p50=%v p90=%v p99=%v\n", pct(0.50), pct(0.90), pct(0.99))
 	fmt.Println("all leases acquired, all writes acknowledged in order")
 

@@ -15,8 +15,9 @@
 //
 // With -verify it instead re-leases each flow with its original switch
 // ID and checks the store still reports the sweep's final watermark —
-// the post-restart assertion of the CI kill -9 smoke. -verify knows the
-// -zipf allocation (it is deterministic), so skewed sweeps verify too.
+// the post-restart assertion of the kill -9 scenarios in internal/e2e.
+// -verify knows the -zipf allocation (it is deterministic), so skewed
+// sweeps verify too.
 //
 // Before traffic the generator performs the hello handshake against
 // the target: it refuses a mid-chain replica and a -shards value the

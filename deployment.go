@@ -481,20 +481,13 @@ func (d *Deployment) Observe() *obs.Registry { return d.reg }
 // Now returns the current virtual time.
 func (d *Deployment) Now() Time { return d.Sim.Now() }
 
-// FailurePlan re-exports the failure injection schedule.
-type FailurePlan = failure.Plan
-
-// FaultEvent and FaultSchedule re-export the generalized multi-event
-// fault schedule used by the chaos harness.
+// FaultEvent and FaultSchedule re-export the multi-event fault schedule
+// (internal/failure): switch fail-stops and recoveries, link-only
+// failures, and store-server crashes.
 type (
 	FaultEvent    = failure.Event
 	FaultSchedule = failure.Schedule
 )
-
-// ScheduleFailure installs a failure/recovery schedule for switch i.
-func (d *Deployment) ScheduleFailure(p FailurePlan) {
-	failure.ApplyPlan(d.Sim, d.Testbed, d.switches[p.Agg], p)
-}
 
 // ScheduleFaultEvents installs a multi-event fault schedule covering
 // aggregation switches and store-chain servers.

@@ -16,6 +16,7 @@ import (
 
 	"redplane"
 	"redplane/internal/apps"
+	"redplane/internal/failure"
 	"redplane/internal/netsim"
 	"redplane/internal/packet"
 )
@@ -66,9 +67,10 @@ func main() {
 	key, _ := (&apps.EPCSGW{}).Key(&packet.Packet{HasGTP: true,
 		GTP: packet.GTP{TEID: 1, MsgType: packet.GTPMsgData}})
 	owner := d.SwitchFor(key)
-	d.ScheduleFailure(redplane.FailurePlan{
-		Agg: owner.ID(), FailAt: 70 * time.Millisecond, DetectDelay: 30 * time.Millisecond,
-	})
+	d.ScheduleFaultEvents(redplane.FaultSchedule{Events: []redplane.FaultEvent{{
+		At: 70 * time.Millisecond, Kind: failure.AggFail, Agg: owner.ID(),
+		DetectDelay: 30 * time.Millisecond,
+	}}})
 	d.RunFor(200 * time.Millisecond)
 	fmt.Printf("%s failed; sessions' TEID state lives in the store\n", owner.Name())
 

@@ -16,6 +16,7 @@ import (
 
 	"redplane"
 	"redplane/internal/apps"
+	"redplane/internal/failure"
 	"redplane/internal/netsim"
 	"redplane/internal/tcpsim"
 )
@@ -58,10 +59,11 @@ func main() {
 	key := redplane.FiveTuple{Src: sender.IP, Dst: receiver.IP,
 		SrcPort: 40000, DstPort: 5001, Proto: 6}
 	owner := d.SwitchFor(key)
-	d.ScheduleFailure(redplane.FailurePlan{
-		Agg: owner.ID(), FailAt: 5 * time.Second,
-		DetectDelay: 100 * time.Millisecond, RecoverAt: 15 * time.Second,
-	})
+	const detect = 100 * time.Millisecond
+	d.ScheduleFaultEvents(redplane.FaultSchedule{Events: []redplane.FaultEvent{
+		{At: 5 * time.Second, Kind: failure.AggFail, Agg: owner.ID(), DetectDelay: detect},
+		{At: 15 * time.Second, Kind: failure.AggRecover, Agg: owner.ID(), DetectDelay: detect},
+	}})
 
 	const dur = 20
 	d.RunFor(dur * time.Second)

@@ -16,6 +16,7 @@ import (
 
 	"redplane"
 	"redplane/internal/apps"
+	"redplane/internal/failure"
 	"redplane/internal/netsim"
 	"redplane/internal/packet"
 )
@@ -59,10 +60,10 @@ func main() {
 		delivered, lastCount, owner.Name())
 
 	// Fail that switch. Its memory — including our counter — is gone.
-	d.ScheduleFailure(redplane.FailurePlan{
-		Agg: owner.ID(), FailAt: 110 * time.Millisecond,
+	d.ScheduleFaultEvents(redplane.FaultSchedule{Events: []redplane.FaultEvent{{
+		At: 110 * time.Millisecond, Kind: failure.AggFail, Agg: owner.ID(),
 		DetectDelay: 50 * time.Millisecond,
-	})
+	}}})
 	d.RunFor(300 * time.Millisecond)
 	fmt.Printf("switch %s crashed (all on-switch state lost); fabric rerouted\n", owner.Name())
 

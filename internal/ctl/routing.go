@@ -67,44 +67,3 @@ func FetchRouting(ctlAddr, token string, timeout time.Duration) (*Router, error)
 		}
 	}
 }
-
-// WatchRouting keeps a switch registration open and invokes fn for the
-// initial table and every epoch bump after it, until the connection
-// drops (returned error) or stop is closed (nil). token is the shared
-// secret for daemons running with -auth-token ("" if none).
-func WatchRouting(ctlAddr, token string, stop <-chan struct{}, fn func(*Router)) error {
-	nc, err := net.DialTimeout("tcp", ctlAddr, 3*time.Second)
-	if err != nil {
-		return fmt.Errorf("ctl: dial %s: %w", ctlAddr, err)
-	}
-	defer nc.Close()
-	if stop != nil {
-		go func() {
-			<-stop
-			nc.Close()
-		}()
-	}
-	cn := newConn(nc)
-	if err := cn.send(&Envelope{Op: OpRegister, Role: "switch", Token: token}); err != nil {
-		return err
-	}
-	for {
-		e, err := cn.recv()
-		if err != nil {
-			select {
-			case <-stop:
-				return nil
-			default:
-				return err
-			}
-		}
-		if e.Op != OpRouting {
-			continue
-		}
-		r, err := NewRouter(e.Epoch, e.Heads, e.Vnodes)
-		if err != nil {
-			continue
-		}
-		fn(r)
-	}
-}

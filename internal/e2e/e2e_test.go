@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -74,50 +77,50 @@ func waitView(t *testing.T, httpBase string, timeout time.Duration, want ...stri
 	}
 }
 
-// TestCtlKillRestartUnderLoad is the multi-process scenario: a
-// redplane-ctl daemon links three durable redplane-store processes
-// into a chain, a windowed load sweep runs against the head, the tail
-// is kill -9ed mid-load and later restarted. The daemon must detect
-// the crash, splice the chain under a new view, resync and relink the
-// returning replica, and the sweep must finish with zero lost
-// acknowledged writes and all replicas in digest agreement.
+// TestCtlKillRestartUnderLoad is the multi-process control-plane
+// scenario: a redplane-ctl daemon links three durable redplane-store
+// processes into a chain, redplane-udpload resolves the head from the
+// daemon and runs a windowed sweep against it, and the tail is kill
+// -9ed mid-load and later restarted. The daemon must detect the crash,
+// splice the chain under a new view, resync and relink the returning
+// replica; the sweep must finish with zero lost acknowledged writes,
+// redplane-switch must then drive the resynced chain, and all replicas
+// must end in digest agreement with /metrics recording the churn.
 func TestCtlKillRestartUnderLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process e2e")
 	}
-	ctlPort, httpPort := freePort(t), freePort(t)
-	httpBase := fmt.Sprintf("http://127.0.0.1:%d", httpPort)
-	ctlAddr := fmt.Sprintf("127.0.0.1:%d", ctlPort)
+	ctlAddr := fmt.Sprintf("127.0.0.1:%d", freePort(t, "tcp"))
+	httpAddr := fmt.Sprintf("127.0.0.1:%d", freePort(t, "tcp"))
+	httpBase := "http://" + httpAddr
 
 	daemon := spawn(t, "redplane-ctl", "redplane-ctl",
-		"-listen", ctlAddr, "-http", fmt.Sprintf("127.0.0.1:%d", httpPort),
+		"-listen", ctlAddr, "-http", httpAddr,
 		"-chains", "s0,s1,s2", "-probe-interval", "50ms")
 	daemon.waitLog(`serving on`, 5*time.Second)
 
 	names := []string{"s0", "s1", "s2"}
-	ports := map[string]int{}
+	addrs := map[string]string{}
 	wals := map[string]string{}
 	procs := map[string]*proc{}
-	startStore := func(n string) *proc {
-		p := spawn(t, n, "redplane-store",
-			"-listen", fmt.Sprintf("127.0.0.1:%d", ports[n]),
-			"-shards", "2", "-lease", "10s",
-			"-wal-dir", wals[n],
-			"-ctl", ctlAddr, "-name", n)
+	startStore := func(n, label string) *proc {
+		p := spawn(t, label, "redplane-store",
+			"-listen", addrs[n], "-shards", "2", "-lease", "10s",
+			"-wal-dir", wals[n], "-ctl", ctlAddr, "-name", n)
 		p.waitLog(`serving on`, 5*time.Second)
 		procs[n] = p
 		return p
 	}
 	// Sequential starts keep the bootstrap view in configured order, so
-	// s0 is the head the sweep targets.
+	// s0 is the head the daemon routes the sweep to.
 	for i, n := range names {
-		ports[n] = freePort(t)
+		addrs[n] = fmt.Sprintf("127.0.0.1:%d", freePort(t, "udp"))
 		wals[n] = filepath.Join(t.TempDir(), n)
-		startStore(n)
+		startStore(n, n)
 		waitView(t, httpBase, 10*time.Second, names[:i+1]...)
 	}
 
-	head := fmt.Sprintf("127.0.0.1:%d", ports["s0"])
+	head := addrs["s0"]
 	// The deployment handshake sees the daemon's announcements.
 	hi, err := store.VerifyDeployTarget(head, 2, 0)
 	if err != nil {
@@ -126,25 +129,19 @@ func TestCtlKillRestartUnderLoad(t *testing.T) {
 	if hi.ChainPos != 0 || !hi.HasNext || hi.View == 0 {
 		t.Fatalf("head hello = %+v", hi)
 	}
-	// And rejects the tail as a traffic target.
-	if _, err := store.HelloUDP(fmt.Sprintf("127.0.0.1:%d", ports["s2"]), 0); err != nil {
+	if _, err := store.HelloUDP(addrs["s2"], 0); err != nil {
 		t.Fatal(err)
 	}
 
-	cfg := store.SweepConfig{
-		Addr: head, Flows: 16, Writes: 30000, Batch: 16,
-		Stall: 50 * time.Millisecond, Timeout: 180 * time.Second, ShardCount: 2,
-	}
-	type sweepOut struct {
-		res store.SweepResult
-		err error
-	}
-	sweepCh := make(chan sweepOut, 1)
+	// 16 flows x 30000 writes: long enough that the kill lands mid-sweep.
+	const flows, writes = 16, 30000
+	sweep := []string{"-flows", fmt.Sprint(flows), "-writes", fmt.Sprint(writes), "-shards", "2"}
+	resFile := filepath.Join(t.TempDir(), "sweep.json")
 	sweepStart := time.Now()
-	go func() {
-		res, err := store.RunSweep(cfg)
-		sweepCh <- sweepOut{res, err}
-	}()
+	load := spawn(t, "redplane-udpload", "redplane-udpload", append([]string{
+		"-ctl", ctlAddr, "-json", resFile,
+		"-batch", "16", "-stall", "50ms", "-timeout", "180s"}, sweep...)...)
+	load.waitLog(`routing epoch \d+, head `+regexp.QuoteMeta(head), 5*time.Second)
 
 	// Kill the tail mid-load with SIGKILL — no shutdown path runs.
 	time.Sleep(300 * time.Millisecond)
@@ -159,33 +156,48 @@ func TestCtlKillRestartUnderLoad(t *testing.T) {
 
 	// Restart it: same WAL dir, same port. It must replay its WAL,
 	// re-register, and be resynced back in at the tail.
-	p := startStore("s2")
+	p := startStore("s2", "s2-restart")
 	p.waitLog(`durable in .*replayed \d+ WAL records`, 5*time.Second)
 	st = waitView(t, httpBase, 20*time.Second, "s0", "s1", "s2")
 	if st.Epoch == 0 {
 		t.Fatal("routing epoch never advanced")
 	}
 
-	out := <-sweepCh
-	if out.err != nil {
-		t.Fatalf("sweep: %v", out.err)
+	// The sweep exits 0 only if complete; its JSON result says when.
+	load.waitOK(3 * time.Minute)
+	b, err := os.ReadFile(resFile)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !out.res.Complete {
-		t.Fatalf("sweep incomplete: %+v", out.res)
+	var res store.SweepResult
+	if err := json.Unmarshal(b, &res); err != nil {
+		t.Fatalf("%s: %v", resFile, err)
 	}
-	if want := uint64(cfg.Flows) * uint64(cfg.Writes); out.res.AckedWrites != want {
-		t.Fatalf("acked %d writes, want %d", out.res.AckedWrites, want)
+	if !res.Complete || res.AckedWrites != flows*writes {
+		t.Fatalf("sweep acked %d/%d writes (complete=%v)", res.AckedWrites, flows*writes, res.Complete)
 	}
-	if out.res.Elapsed <= killAt {
+	if res.Elapsed <= killAt {
 		t.Fatalf("sweep finished in %v, before the kill at %v — not a mid-load crash",
-			out.res.Elapsed, killAt)
+			res.Elapsed, killAt)
 	}
 
 	// No lost acked writes: every flow still reports its final
 	// watermark (the restarted replica recovered via WAL + resync).
-	okFlows, err := store.VerifySweep(cfg)
-	if err != nil || okFlows != cfg.Flows {
-		t.Fatalf("verify: %d/%d flows held their watermark (%v)", okFlows, cfg.Flows, err)
+	verify := spawn(t, "redplane-udpload -verify", "redplane-udpload",
+		append([]string{"-addr", head, "-verify"}, sweep...)...)
+	verify.waitOK(30 * time.Second)
+	if want := fmt.Sprintf("verify ok: %d/%d flows", flows, flows); !strings.Contains(verify.output(), want) {
+		t.Fatalf("verify output lacks %q", want)
+	}
+
+	// A switch drives the resynced chain through the daemon's routing.
+	// Per flow: a lease, five 4-write batches and a renewal — seven
+	// timed round trips, which is what the summary must count.
+	sw := spawn(t, "redplane-switch", "redplane-switch",
+		"-ctl", ctlAddr, "-flows", "8", "-writes", "20", "-batch", "4")
+	sw.waitOK(30 * time.Second)
+	if !strings.Contains(sw.output(), "redplane-switch: 56 requests in") {
+		t.Fatal("redplane-switch summary does not count its 56 round trips")
 	}
 
 	// Chain agreement: all three replicas converge to one digest.
@@ -210,36 +222,85 @@ func TestCtlKillRestartUnderLoad(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 	}
 
-	// /metrics is parseable exposition text and records the churn.
+	// /metrics is parseable exposition text, records the churn, and
+	// carries each member's store counters under its member label.
 	metrics := getText(t, httpBase+"/metrics")
-	samples := map[string]string{}
+	samples := map[string]float64{}
 	for _, line := range strings.Split(strings.TrimSuffix(metrics, "\n"), "\n") {
+		fields := strings.Fields(line)
 		if strings.HasPrefix(line, "# TYPE ") {
-			if len(strings.Fields(line)) != 4 {
+			if len(fields) != 4 {
 				t.Fatalf("malformed TYPE line %q", line)
 			}
 			continue
 		}
-		fields := strings.Fields(line)
 		if len(fields) != 2 {
 			t.Fatalf("malformed metrics line %q", line)
 		}
-		samples[fields[0]] = fields[1]
+		v, err := strconv.ParseFloat(fields[1], 64)
+		if err != nil {
+			t.Fatalf("metrics line %q: %v", line, err)
+		}
+		samples[fields[0]] = v
 	}
-	var churn struct{ viewChanges, spliceOuts, rejoins int }
-	fmt.Sscan(samples["redplane_ctl_view_changes"], &churn.viewChanges)
-	fmt.Sscan(samples["redplane_ctl_splice_outs"], &churn.spliceOuts)
-	fmt.Sscan(samples["redplane_ctl_rejoins"], &churn.rejoins)
-	if churn.viewChanges < 2 || churn.spliceOuts < 1 || churn.rejoins < 1 {
-		t.Fatalf("churn counters too low: %+v\n%s", churn, metrics)
+	if !strings.Contains(metrics, "# TYPE redplane_ctl_view_changes counter\n") {
+		t.Fatal("/metrics lacks the view-change counter's TYPE line")
 	}
-	if !strings.Contains(metrics, `member="s2"`) {
-		t.Fatalf("member-labeled store metrics missing:\n%s", metrics)
+	if samples["redplane_ctl_view_changes"] < 2 || samples["redplane_ctl_splice_outs"] < 1 ||
+		samples["redplane_ctl_rejoins"] < 2 {
+		t.Fatalf("churn counters too low: view_changes=%v splice_outs=%v rejoins=%v",
+			samples["redplane_ctl_view_changes"], samples["redplane_ctl_splice_outs"],
+			samples["redplane_ctl_rejoins"])
+	}
+	for _, n := range names {
+		for _, series := range []string{"redplane_udp_rx_batches",
+			"redplane_udp_stale_view_drops", "redplane_udp_shard0_reply_dgrams"} {
+			key := fmt.Sprintf("%s{member=%q}", series, n)
+			if _, ok := samples[key]; !ok {
+				t.Errorf("/metrics lacks %s", key)
+			}
+		}
 	}
 
 	// The daemon saw the crash for what it was.
 	if !strings.Contains(daemon.output(), "connection lost") &&
 		!strings.Contains(daemon.output(), "marked dead") {
-		t.Fatalf("daemon never logged the death:\n%s", daemon.output())
+		t.Fatal("daemon never logged the death")
+	}
+}
+
+// TestStoreKill9KeepsAckedWrites is the durability contract (acked =>
+// fsynced) across an unclean crash on the real socket path: a sharded
+// store with a WAL acknowledges a sweep, is kill -9ed, and restarts over
+// the same WAL directory. Recovery must replay the log, and every flow
+// must still hold the sweep's final acknowledged watermark.
+func TestStoreKill9KeepsAckedWrites(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process e2e")
+	}
+	addr := fmt.Sprintf("127.0.0.1:%d", freePort(t, "udp"))
+	wal := filepath.Join(t.TempDir(), "wal")
+	startStore := func(label string) *proc {
+		p := spawn(t, label, "redplane-store",
+			"-listen", addr, "-shards", "2", "-wal-dir", wal)
+		p.waitLog(`serving on`, 5*time.Second)
+		return p
+	}
+	sweep := []string{"-addr", addr, "-flows", "32", "-writes", "200"}
+
+	first := startStore("redplane-store")
+	spawn(t, "redplane-udpload", "redplane-udpload",
+		append(sweep, "-batch", "4", "-window", "16")...).waitOK(time.Minute)
+	first.kill9()
+
+	restarted := startStore("redplane-store restart")
+	m := restarted.waitLog(`replayed (\d+) WAL records`, 5*time.Second)
+	if n, _ := strconv.Atoi(m[1]); n == 0 {
+		t.Fatal("restart replayed no WAL records")
+	}
+	verify := spawn(t, "redplane-udpload -verify", "redplane-udpload", append(sweep, "-verify")...)
+	verify.waitOK(30 * time.Second)
+	if !strings.Contains(verify.output(), "verify ok: 32/32 flows") {
+		t.Fatal("verify output lacks 32/32 flows")
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"redplane"
 	"redplane/internal/apps"
+	"redplane/internal/failure"
 	"redplane/internal/metrics"
 	"redplane/internal/tcpsim"
 )
@@ -117,10 +118,11 @@ func fig14Run(label string, seed int64, dur, failAt, recoverAt time.Duration, ft
 		key := redplane.FiveTuple{Src: sender.IP, Dst: receiver.IP,
 			SrcPort: sport, DstPort: 5001, Proto: 6}
 		owner := d.SwitchFor(key)
-		d.ScheduleFailure(redplane.FailurePlan{
-			Agg: owner.ID(), FailAt: failAt, DetectDelay: 100 * time.Millisecond,
-			RecoverAt: recoverAt,
-		})
+		const detect = 100 * time.Millisecond
+		d.ScheduleFaultEvents(redplane.FaultSchedule{Events: []redplane.FaultEvent{
+			{At: failAt, Kind: failure.AggFail, Agg: owner.ID(), DetectDelay: detect},
+			{At: recoverAt, Kind: failure.AggRecover, Agg: owner.ID(), DetectDelay: detect},
+		}})
 		if !ft {
 			// Fail-stop loses the switch's local pool state too.
 			d.Sim.After(failAt, func() { delete(locals, owner.ID()) })

@@ -29,40 +29,6 @@ type ColdFailer interface {
 	FailCold()
 }
 
-// Plan is the legacy single-failure schedule for one aggregation switch:
-// one failure, one detection, an optional recovery. It remains the
-// convenient form for the paper's hand-built failover scenarios; richer
-// schedules use Schedule.
-type Plan struct {
-	// Agg is the aggregation slot to fail.
-	Agg int
-	// FailAt is when the failure occurs.
-	FailAt time.Duration
-	// DetectDelay is how long the fabric takes to detect and reroute
-	// (the paper's recovery time combines this with the lease period).
-	DetectDelay time.Duration
-	// RecoverAt is when the switch comes back (0 = never).
-	RecoverAt time.Duration
-	// LinkOnly keeps the switch's memory intact (the Fig. 7 scenario);
-	// otherwise the switch fail-stops and loses all state.
-	LinkOnly bool
-}
-
-// Events converts the plan into its schedule events.
-func (p Plan) Events() []Event {
-	ev := []Event{{
-		At: p.FailAt, Kind: AggFail, Agg: p.Agg,
-		DetectDelay: p.DetectDelay, LinkOnly: p.LinkOnly,
-	}}
-	if p.RecoverAt > 0 {
-		ev = append(ev, Event{
-			At: p.RecoverAt, Kind: AggRecover, Agg: p.Agg,
-			DetectDelay: p.DetectDelay, LinkOnly: p.LinkOnly,
-		})
-	}
-	return ev
-}
-
 // Kind discriminates schedule events.
 type Kind int
 
@@ -261,18 +227,4 @@ func Install(sim *netsim.Sim, t Targets, sched Schedule) {
 		e := e
 		sim.After(e.At, func() { j.apply(e) })
 	}
-}
-
-// ApplyPlan installs the legacy single-failure plan. sw may be nil for
-// plain-router aggregation slots.
-func ApplyPlan(sim *netsim.Sim, tb *topo.Testbed, sw Switchlike, p Plan) {
-	Install(sim, Targets{
-		Testbed: tb,
-		Agg: func(i int) Switchlike {
-			if i == p.Agg {
-				return sw
-			}
-			return nil
-		},
-	}, Schedule{Events: p.Events()})
 }

@@ -21,7 +21,10 @@ func build(sim *netsim.Sim) *topo.Testbed {
 	return topo.NewTestbed(sim, cfg, []topo.RoutedNode{topo.NewRouter("agg0"), topo.NewRouter("agg1")})
 }
 
-func TestApplyPlanFailStopAndRecovery(t *testing.T) {
+// TestInstallFailStopAndRecovery walks one fail-stop/recover cycle of a
+// slot through the fabric: flows hashed to the slot black-hole until
+// detection, reroute after it, and use both paths again after recovery.
+func TestInstallFailStopAndRecovery(t *testing.T) {
 	sim := netsim.New(1)
 	tb := build(sim)
 	src := tb.AddExternalHost(0, "src", packet.MakeAddr(100, 0, 0, 1))
@@ -30,10 +33,11 @@ func TestApplyPlanFailStopAndRecovery(t *testing.T) {
 	dst.Handler = func(f *netsim.Frame) { got++ }
 	sw := &fakeSwitch{}
 
-	ApplyPlan(sim, tb, sw, Plan{
-		Agg: 0, FailAt: 10 * time.Millisecond, DetectDelay: 5 * time.Millisecond,
-		RecoverAt: 30 * time.Millisecond,
-	})
+	Install(sim, Targets{Testbed: tb, Agg: func(int) Switchlike { return sw }},
+		Schedule{Events: []Event{
+			{At: 10 * time.Millisecond, Kind: AggFail, Agg: 0, DetectDelay: 5 * time.Millisecond},
+			{At: 30 * time.Millisecond, Kind: AggRecover, Agg: 0, DetectDelay: 5 * time.Millisecond},
+		}})
 
 	send := func() {
 		// A flow pinned (by hash) to agg 0 would black-hole when it is
@@ -83,28 +87,6 @@ func TestApplyPlanFailStopAndRecovery(t *testing.T) {
 	if got != 20 {
 		t.Fatalf("post-recovery delivered %d/20", got)
 	}
-}
-
-func TestApplyPlanLinkOnlyKeepsSwitchState(t *testing.T) {
-	sim := netsim.New(2)
-	tb := build(sim)
-	sw := &fakeSwitch{}
-	ApplyPlan(sim, tb, sw, Plan{
-		Agg: 1, FailAt: time.Millisecond, DetectDelay: time.Millisecond,
-		RecoverAt: 5 * time.Millisecond, LinkOnly: true,
-	})
-	sim.Run()
-	if sw.failed != 0 || sw.recovered != 0 {
-		t.Error("link-only failure must not fail-stop the switch")
-	}
-}
-
-func TestApplyPlanNilSwitch(t *testing.T) {
-	sim := netsim.New(3)
-	tb := build(sim)
-	ApplyPlan(sim, tb, nil, Plan{Agg: 0, FailAt: time.Millisecond,
-		DetectDelay: time.Millisecond, RecoverAt: 3 * time.Millisecond})
-	sim.Run() // must not panic
 }
 
 // TestInstallNilObserver exercises the unified observer-present guard:
@@ -301,28 +283,6 @@ func TestStoreFaultEvents(t *testing.T) {
 	}
 	if s := servers[[2]int{0, 0}]; s.failed != 0 {
 		t.Errorf("store (0,0) failed %d times, want 0", s.failed)
-	}
-}
-
-// TestPlanEventsEquivalence checks the Plan→Events conversion shape.
-func TestPlanEventsEquivalence(t *testing.T) {
-	p := Plan{Agg: 1, FailAt: time.Millisecond, DetectDelay: 2 * time.Millisecond,
-		RecoverAt: 5 * time.Millisecond, LinkOnly: true}
-	ev := p.Events()
-	if len(ev) != 2 {
-		t.Fatalf("events = %d, want 2", len(ev))
-	}
-	if ev[0].Kind != AggFail || ev[0].At != p.FailAt || !ev[0].LinkOnly || ev[0].Agg != 1 {
-		t.Errorf("fail event wrong: %+v", ev[0])
-	}
-	if ev[1].Kind != AggRecover || ev[1].At != p.RecoverAt {
-		t.Errorf("recover event wrong: %+v", ev[1])
-	}
-	if (Plan{Agg: 0, FailAt: time.Millisecond}).Events()[0].Kind != AggFail {
-		t.Error("never-recover plan should emit a single fail event")
-	}
-	if n := len((Plan{Agg: 0, FailAt: time.Millisecond}).Events()); n != 1 {
-		t.Errorf("never-recover plan emits %d events, want 1", n)
 	}
 }
 

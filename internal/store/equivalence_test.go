@@ -211,6 +211,11 @@ func serialTranscript(t *testing.T, addr *net.UDPAddr, flows, writes int) []byte
 	return transcript
 }
 
+// withPortableIO forces the portable single-datagram syscall path even
+// where the batched recvmmsg/sendmmsg one is available, so one process
+// can compare the two.
+func withPortableIO() UDPOption { return func(o *UDPOptions) { o.forcePortable = true } }
+
 // TestServerIOPathEquivalence runs the same seeded workload against a
 // platform-IO server and a forced-portable server and asserts the wire
 // traffic is byte-identical and the shard digests match: switching
@@ -222,7 +227,7 @@ func TestServerIOPathEquivalence(t *testing.T) {
 		return sweepServer(t, append([]UDPOption{WithUDPShards(2)}, opts...)...)
 	}
 	platform := mk()
-	portable := mk(WithUDPPortableIO())
+	portable := mk(withPortableIO())
 	t.Logf("io paths: %s vs %s", platform.IOPath(), portable.IOPath())
 
 	tp := serialTranscript(t, platform.Addr().(*net.UDPAddr), flows, writes)

@@ -490,8 +490,8 @@ func (sn *sweepSender) flushTx() { _ = sn.tx.flush() }
 
 // VerifySweep re-leases every flow of a finished sweep with its original
 // switch ID and checks the store still holds the final watermark — the
-// crash-recovery assertion of the CI kill -9 smoke. It returns the
-// number of flows whose state matched.
+// crash-recovery assertion of `redplane-udpload -verify`. It returns
+// the number of flows whose state matched.
 func VerifySweep(cfg SweepConfig) (int, error) {
 	cfg.fill()
 	targets := SweepWriteTargets(cfg.Flows, cfg.Writes, cfg.Zipf)

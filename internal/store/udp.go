@@ -99,6 +99,9 @@ type UDPOptions struct {
 	// min(Shards, 2) receiver goroutines.
 	Shards int
 
+	// forcePortable selects the single-datagram IO even where
+	// recvmmsg/sendmmsg exist; the in-process IO equivalence test sets
+	// it. Builds use the portablemmsg tag instead.
 	forcePortable bool
 }
 
@@ -107,11 +110,6 @@ type UDPOption func(*UDPOptions)
 
 // WithUDPShards sets the shard-owner goroutine count.
 func WithUDPShards(n int) UDPOption { return func(o *UDPOptions) { o.Shards = n } }
-
-// WithUDPPortableIO forces the portable single-datagram syscall path
-// even where the batched recvmmsg/sendmmsg one is available — for
-// debugging and for the CI equivalence tests.
-func WithUDPPortableIO() UDPOption { return func(o *UDPOptions) { o.forcePortable = true } }
 
 // NewUDPServer binds the server to addr (e.g. "127.0.0.1:9500").
 // nextAddr, when non-empty, is the chain successor. Goroutines start in
@@ -238,24 +236,14 @@ func (s *UDPServer) IOPath() string { return s.ioName }
 // scopes, plus store-shard<i>/* when durability is enabled).
 func (s *UDPServer) Obs() *obs.Registry { return s.reg }
 
-// EnableDurability attaches a durable backend to a single-shard server:
-// the shard is replaced by one recovered from the backend's newest
+// EnableDurabilityBackends attaches one durable backend per shard: each
+// shard is replaced by one recovered from its backend's newest
 // checkpoint plus the WAL tail, and every later mutation is logged and
-// fsynced before its ack or chain relay escapes. Call before Serve.
-// Returns the number of WAL records replayed. Multi-shard servers need
-// one backend per shard; use EnableDurabilityBackends.
-func (s *UDPServer) EnableDurability(be durable.Backend, cfg DurabilityConfig) (int, error) {
-	if len(s.shards) != 1 {
-		return 0, fmt.Errorf("store: EnableDurability needs one backend per shard (%d shards); use EnableDurabilityBackends", len(s.shards))
-	}
-	return s.EnableDurabilityBackends([]durable.Backend{be}, cfg)
-}
-
-// EnableDurabilityBackends attaches one durable backend per shard (the
-// flow→shard hash is stable, so a shard's WAL only ever holds its own
-// flows — provided the shard count does not change between restarts;
-// cmd/redplane-store records the count next to the WAL and refuses a
-// mismatch). Call before Serve. Returns total WAL records replayed.
+// fsynced before its ack or chain relay escapes. The flow→shard hash is
+// stable, so a shard's WAL only ever holds its own flows — provided the
+// shard count does not change between restarts; cmd/redplane-store
+// records the count next to the WAL and refuses a mismatch. Call before
+// Serve. Returns total WAL records replayed.
 func (s *UDPServer) EnableDurabilityBackends(bes []durable.Backend, cfg DurabilityConfig) (int, error) {
 	if s.serving.Load() {
 		return 0, errors.New("store: EnableDurabilityBackends after Serve")

@@ -29,7 +29,7 @@ func TestUDPDurableRestartRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.EnableDurability(be, DurabilityConfig{Enabled: true}); err != nil {
+	if _, err := srv.EnableDurabilityBackends([]durable.Backend{be}, DurabilityConfig{Enabled: true}); err != nil {
 		t.Fatal(err)
 	}
 	go func() { _ = srv.Serve() }()
@@ -63,7 +63,7 @@ func TestUDPDurableRestartRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := srv2.EnableDurability(be2, DurabilityConfig{Enabled: true})
+	replayed, err := srv2.EnableDurabilityBackends([]durable.Backend{be2}, DurabilityConfig{Enabled: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestUDPGroupCommitSelfClocked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.EnableDurability(gate, DurabilityConfig{Enabled: true}); err != nil {
+	if _, err := srv.EnableDurabilityBackends([]durable.Backend{gate}, DurabilityConfig{Enabled: true}); err != nil {
 		t.Fatal(err)
 	}
 	served := make(chan error, 1)
@@ -239,7 +239,7 @@ func TestUDPGroupCommitSelfClocked(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv2.Close()
-	if _, err := srv2.EnableDurability(mem, DurabilityConfig{Enabled: true}); err != nil {
+	if _, err := srv2.EnableDurabilityBackends([]durable.Backend{mem}, DurabilityConfig{Enabled: true}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < flows; i++ {
@@ -267,7 +267,7 @@ func TestUDPChainPacksWaitForSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer head.Close()
-	if _, err := head.EnableDurability(gate, DurabilityConfig{Enabled: true}); err != nil {
+	if _, err := head.EnableDurabilityBackends([]durable.Backend{gate}, DurabilityConfig{Enabled: true}); err != nil {
 		t.Fatal(err)
 	}
 	go func() { _ = head.Serve() }()

@@ -5,9 +5,18 @@ import (
 	"time"
 
 	"redplane/internal/apps"
+	"redplane/internal/failure"
 	"redplane/internal/netsim"
 	"redplane/internal/packet"
 )
+
+// failSwitch fail-stops aggregation switch agg at virtual time at; the
+// fabric detects it 50 ms later and the switch never recovers.
+func failSwitch(d *Deployment, agg int, at time.Duration) {
+	d.ScheduleFaultEvents(FaultSchedule{Events: []FaultEvent{{
+		At: at, Kind: failure.AggFail, Agg: agg, DetectDelay: 50 * time.Millisecond,
+	}}})
+}
 
 func TestDeploymentEndToEndFailover(t *testing.T) {
 	d := NewDeployment(DeploymentConfig{
@@ -43,9 +52,7 @@ func TestDeploymentEndToEndFailover(t *testing.T) {
 	}
 
 	// Fail the owner, detect after 50 ms, never recover.
-	d.ScheduleFailure(FailurePlan{
-		Agg: owner.ID(), FailAt: 110 * time.Millisecond, DetectDelay: 50 * time.Millisecond,
-	})
+	failSwitch(d, owner.ID(), 110*time.Millisecond)
 	d.RunFor(300 * time.Millisecond)
 	send(10, 11)
 	// The sibling acquires the lease once the failed switch's lease
@@ -202,8 +209,7 @@ func TestSequencerLinearizableAcrossFailover(t *testing.T) {
 	routeKey := FiveTuple{Src: client.IP, Dst: group.IP, SrcPort: 100,
 		DstPort: 7000, Proto: packet.ProtoUDP}
 	owner := d.SwitchFor(routeKey)
-	d.ScheduleFailure(FailurePlan{Agg: owner.ID(), FailAt: 110 * time.Millisecond,
-		DetectDelay: 50 * time.Millisecond})
+	failSwitch(d, owner.ID(), 110*time.Millisecond)
 	d.RunFor(300 * time.Millisecond)
 	send(20, 21)
 	d.RunFor(3 * time.Second)
@@ -259,8 +265,7 @@ func TestThreeSwitchDeploymentCascadingFailover(t *testing.T) {
 	d.RunFor(100 * time.Millisecond)
 	key := FiveTuple{Src: client.IP, Dst: server.IP, SrcPort: 4242, DstPort: 80, Proto: 6}
 	first := d.SwitchFor(key)
-	d.ScheduleFailure(FailurePlan{Agg: first.ID(), FailAt: 110 * time.Millisecond,
-		DetectDelay: 50 * time.Millisecond})
+	failSwitch(d, first.ID(), 110*time.Millisecond)
 	d.RunFor(300 * time.Millisecond)
 
 	send(10, 11)
@@ -275,8 +280,7 @@ func TestThreeSwitchDeploymentCascadingFailover(t *testing.T) {
 	if second < 0 {
 		t.Fatal("no survivor took the flow over")
 	}
-	d.ScheduleFailure(FailurePlan{Agg: second, FailAt: 2500 * time.Millisecond,
-		DetectDelay: 50 * time.Millisecond})
+	failSwitch(d, second, 2500*time.Millisecond)
 	d.RunFor(2700 * time.Millisecond)
 	send(10, 21)
 	d.RunFor(6 * time.Second)

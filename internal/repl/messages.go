@@ -20,8 +20,8 @@ func (c *ChainMsg) ViewNum() uint64 { return c.View }
 // fixed 48 bytes per update, under one ethernet/IP/UDP header.
 func (c *ChainMsg) WireLen() int {
 	n := packet.EthernetLen + packet.IPv4Len + packet.UDPLen
-	for _, o := range c.Outs {
-		n += o.Msg.WireLen() - packet.EthernetLen
+	for i := range c.Outs {
+		n += c.Outs[i].Msg.WireLen() - packet.EthernetLen
 	}
 	n += 48 * len(c.Ups)
 	if n < 64 {

@@ -41,10 +41,12 @@ import (
 
 // Output is a message a shard wants delivered to a switch. Engines hold
 // outputs until their covering updates satisfy the engine's commit rule.
+// The message is held by value, so a shard appends outputs into a slice
+// its caller reuses without allocating one message per acknowledgment.
 type Output struct {
 	// DstSwitch is the switch ID the message is addressed to.
 	DstSwitch int
-	Msg       *wire.Message
+	Msg       wire.Message
 }
 
 // Update describes a state mutation for replication: peers apply it

@@ -8,7 +8,7 @@ import (
 )
 
 func out(sw int) Output {
-	return Output{DstSwitch: sw, Msg: &wire.Message{Type: wire.MsgReplAck, SwitchID: sw}}
+	return Output{DstSwitch: sw, Msg: wire.Message{Type: wire.MsgReplAck, SwitchID: sw}}
 }
 
 func TestQuorumLogMajorityReleasesInOrder(t *testing.T) {
@@ -98,7 +98,7 @@ func TestChainMsgWireLen(t *testing.T) {
 		t.Errorf("empty WireLen = %d, want minimum frame 64", got)
 	}
 	ack := &wire.Message{Type: wire.MsgReplAck}
-	c = &ChainMsg{Ups: make([]Update, 1), Outs: []Output{{Msg: ack}}}
+	c = &ChainMsg{Ups: make([]Update, 1), Outs: []Output{{Msg: *ack}}}
 	want := hdr + (ack.WireLen() - packet.EthernetLen) + 48
 	if want < 64 {
 		want = 64

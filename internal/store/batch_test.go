@@ -50,7 +50,8 @@ func TestProcessBatchCoalescesPerFlow(t *testing.T) {
 }
 
 // Snapshot slot updates each carry distinct slots of an epoch's image
-// and must never be collapsed, even for the same flow.
+// and must never be collapsed, even for the same flow. The shard's flow
+// index is empty again after each batch.
 func TestCoalesceUpdatesKeepsSnapshots(t *testing.T) {
 	k := tkey(1)
 	ups := []Update{
@@ -59,7 +60,15 @@ func TestCoalesceUpdatesKeepsSnapshots(t *testing.T) {
 		{Key: k, HasSnap: true, SnapSlot: 1, SnapVals: []uint64{2}},
 		{Key: k, LastSeq: 2, Vals: []uint64{20}},
 	}
-	out := CoalesceUpdates(ups)
+	idx := map[packet.FiveTuple]int{}
+	out := coalesce(ups, idx)
+	if len(idx) != 0 {
+		t.Errorf("%d flows left in the index after the batch", len(idx))
+	}
+	// A stale index would put this batch's write at the last one's slot.
+	if next := coalesce([]Update{{Key: tkey(2)}, {Key: k, LastSeq: 3}}, idx); len(next) != 2 || next[1].LastSeq != 3 {
+		t.Errorf("next batch coalesced to %+v", next)
+	}
 	if len(out) != 3 {
 		t.Fatalf("len = %d, want 3 (two snaps + one coalesced write)", len(out))
 	}

@@ -574,8 +574,8 @@ func (s *Server) fireFsync() {
 // so unbatched traffic is byte-identical to the pre-batching pipeline.
 func (s *Server) emitAll(outs []Output) {
 	if len(outs) <= 1 {
-		for _, o := range outs {
-			s.sendSwitch(o.DstSwitch, o.Msg)
+		for i := range outs {
+			s.sendSwitch(outs[i].DstSwitch, &outs[i].Msg)
 		}
 		return
 	}
@@ -584,22 +584,23 @@ func (s *Server) emitAll(outs []Output) {
 		counts[o.DstSwitch]++
 	}
 	done := make(map[int]bool, len(counts))
-	for _, o := range outs {
-		if counts[o.DstSwitch] == 1 {
-			s.sendSwitch(o.DstSwitch, o.Msg)
+	for i := range outs {
+		dst := outs[i].DstSwitch
+		if counts[dst] == 1 {
+			s.sendSwitch(dst, &outs[i].Msg)
 			continue
 		}
-		if done[o.DstSwitch] {
+		if done[dst] {
 			continue
 		}
-		done[o.DstSwitch] = true
-		msgs := make([]*wire.Message, 0, counts[o.DstSwitch])
-		for _, o2 := range outs {
-			if o2.DstSwitch == o.DstSwitch {
-				msgs = append(msgs, o2.Msg)
+		done[dst] = true
+		msgs := make([]*wire.Message, 0, counts[dst])
+		for j := range outs {
+			if outs[j].DstSwitch == dst {
+				msgs = append(msgs, &outs[j].Msg)
 			}
 		}
-		s.sendSwitch(o.DstSwitch, &wire.Batch{Msgs: msgs})
+		s.sendSwitch(dst, &wire.Batch{Msgs: msgs})
 	}
 }
 

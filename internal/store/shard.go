@@ -7,9 +7,9 @@
 // The Shard type is the one protocol core, and it is transport
 // independent: the simulator server (Server) and the real-UDP server
 // (UDPServer, cmd/redplane-store) drive it the same way. The replica a
-// switch addresses decides — Process, ProcessBatch, Flush, on its own
-// clock — and every other replica copies the resulting Updates verbatim
-// with Apply; no replica re-runs a request another one already decided.
+// switch addresses decides — Decide and Flush, on its own clock — and
+// every other replica copies the resulting Updates verbatim with Apply;
+// no replica re-runs a request another one already decided.
 package store
 
 import (
@@ -43,8 +43,8 @@ type flowState struct {
 	owner       int   // switch holding the lease, or NoOwner
 	leaseExpiry int64 // ns timestamp
 
-	// waiting queues lease requests that arrived while another switch
-	// held the lease (the protocol's BUFFERING state).
+	// waiting queues copies of lease requests that arrived while another
+	// switch held the lease (the protocol's BUFFERING state).
 	waiting []*wire.Message
 
 	// snapshots holds bounded-inconsistency images: the slots of the
@@ -117,6 +117,9 @@ type Shard struct {
 	// covering fsync (group commit).
 	walHook func(Update)
 
+	// idx is coalesce's per-batch flow index, empty between batches.
+	idx map[packet.FiveTuple]int
+
 	// Stats accumulates observability counters.
 	Stats Stats
 }
@@ -160,7 +163,7 @@ func NewShard(cfg Config) *Shard {
 	if cfg.LeasePeriod == 0 {
 		cfg.LeasePeriod = time.Second
 	}
-	return &Shard{cfg: cfg, flows: make(map[packet.FiveTuple]*flowState)}
+	return &Shard{cfg: cfg, flows: make(map[packet.FiveTuple]*flowState), idx: make(map[packet.FiveTuple]int)}
 }
 
 // SetWALHook installs (or clears, with nil) the apply-log hook. Restore
@@ -189,74 +192,98 @@ func (s *Shard) flow(key packet.FiveTuple) *flowState {
 // Flows returns the number of flow partitions the shard tracks.
 func (s *Shard) Flows() int { return len(s.flows) }
 
-// Process handles one protocol request at time now (ns) and returns the
-// messages to send plus the state mutations (for chain propagation) it
-// performed. Outputs from mutating requests must not be released to
-// switches until the chain has committed the updates; the transport layer
-// enforces that.
-func (s *Shard) Process(now int64, m *wire.Message) (outs []Output, ups []Update) {
-	outs, ups = s.process(now, m)
-	s.logUps(ups)
-	return outs, ups
+// Decide handles a switch's request datagram — one message or a batch's
+// members, in arrival order — at time now (ns): it appends the messages to
+// send to outs and the state mutations it performed to ups, their values
+// copied into *arena (fresh slices if arena is nil), and keeps no
+// reference to msgs. A batch's updates are coalesced per flow, last write
+// wins, so one chain message carries its net effect (NetChain-style
+// packing). Outputs of mutations must not reach switches before the chain
+// commits the updates; the transport enforces that.
+func (s *Shard) Decide(now int64, msgs []*wire.Message, outs []Output, ups []Update, arena *[]uint64) ([]Output, []Update) {
+	d := decision{outs: outs, ups: ups, arena: arena}
+	for _, m := range msgs {
+		at := len(d.ups)
+		s.decide(now, m, &d)
+		s.logUps(d.ups[at:])
+	}
+	if len(msgs) > 1 {
+		batch := d.ups[len(ups):]
+		kept := coalesce(batch, s.idx)
+		s.Stats.CoalescedUps += uint64(len(batch) - len(kept))
+		d.ups = d.ups[:len(ups)+len(kept)]
+	}
+	return d.outs, d.ups
 }
 
-func (s *Shard) process(now int64, m *wire.Message) (outs []Output, ups []Update) {
+// Process is Decide for one request, into fresh slices.
+func (s *Shard) Process(now int64, m *wire.Message) ([]Output, []Update) {
+	return s.Decide(now, []*wire.Message{m}, nil, nil, nil)
+}
+
+// ProcessBatch is Decide for a batch's members, into fresh slices.
+func (s *Shard) ProcessBatch(now int64, msgs []*wire.Message) ([]Output, []Update) {
+	return s.Decide(now, msgs, nil, nil, nil)
+}
+
+// decision is what one Decide or Flush call appends to.
+type decision struct {
+	outs  []Output
+	ups   []Update
+	arena *[]uint64 // where update values are copied; nil: fresh slices
+}
+
+// reply appends an acknowledgment for its switch.
+func (d *decision) reply(ack wire.Message) {
+	d.outs = append(d.outs, Output{DstSwitch: ack.SwitchID, Msg: ack})
+}
+
+// vals copies v: into the arena when there is one, else into a fresh
+// slice (nil for none).
+func (d *decision) vals(v []uint64) []uint64 {
+	if d.arena == nil || len(v) == 0 {
+		return append([]uint64(nil), v...)
+	}
+	at := len(*d.arena)
+	*d.arena = append(*d.arena, v...)
+	return (*d.arena)[at:len(*d.arena):len(*d.arena)]
+}
+
+func (s *Shard) decide(now int64, m *wire.Message, d *decision) {
 	switch m.Type {
 	case wire.MsgLeaseNew:
-		return s.processLeaseNew(now, m)
+		s.processLeaseNew(now, m, d)
 	case wire.MsgLeaseRenew:
-		return s.processLeaseRenew(now, m)
+		s.processLeaseRenew(now, m, d)
 	case wire.MsgRepl:
-		return s.processRepl(now, m)
+		s.processRepl(now, m, d)
 	case wire.MsgBufferedRead:
 		s.Stats.BufferedReads++
 		// Echo the packet back; the switch holds it until the awaited
 		// write (m.Seq) is acknowledged. Reads do not mutate state.
-		return []Output{{DstSwitch: m.SwitchID, Msg: &wire.Message{
+		d.reply(wire.Message{
 			Type: wire.MsgBufferedReadAck, Seq: m.Seq, Key: m.Key,
 			SwitchID: m.SwitchID, StoreShard: m.StoreShard, Piggyback: m.Piggyback,
-		}}}, nil
+		})
 	case wire.MsgSnapshot:
-		return s.processSnapshot(now, m)
+		s.processSnapshot(now, m, d)
 	default:
 		// Unknown or ack-typed messages are dropped: the store never
 		// receives acks in a correct deployment, and a robust server
 		// does not crash on garbage.
-		return nil, nil
 	}
 }
 
-// ProcessBatch handles every message of a batched datagram in arrival
-// order and coalesces the resulting chain updates per flow (last write
-// wins) so one chain message carries the batch's net effect — the
-// NetChain-style packing that keeps chain bandwidth proportional to
-// touched flows, not to packets.
-func (s *Shard) ProcessBatch(now int64, msgs []*wire.Message) (outs []Output, ups []Update) {
-	if len(msgs) == 1 {
-		return s.Process(now, msgs[0])
-	}
-	for _, m := range msgs {
-		o, u := s.Process(now, m)
-		outs = append(outs, o...)
-		ups = append(ups, u...)
-	}
-	before := len(ups)
-	ups = CoalesceUpdates(ups)
-	s.Stats.CoalescedUps += uint64(before - len(ups))
-	return outs, ups
-}
-
-// CoalesceUpdates collapses a batch's chain updates per flow, keeping
-// the last write for each key at its first-occurrence position (stable
-// order, so identical-seed runs propagate identically). Snapshot slot
-// updates are never coalesced — each carries distinct slots of an
-// epoch's image. The slice is filtered in place.
-func CoalesceUpdates(ups []Update) []Update {
+// coalesce collapses a batch's chain updates per flow, keeping the last
+// write for each key at its first-occurrence position (stable order, so
+// identical-seed runs propagate identically). Snapshot slot updates are
+// never coalesced — each carries distinct slots of an epoch's image. The
+// slice is filtered in place; idx, the flow index, is cleared after.
+func coalesce(ups []Update, idx map[packet.FiveTuple]int) []Update {
 	if len(ups) < 2 {
 		return ups
 	}
 	out := ups[:0]
-	idx := make(map[packet.FiveTuple]int, len(ups))
 	for _, up := range ups {
 		if up.HasSnap {
 			out = append(out, up)
@@ -269,10 +296,16 @@ func CoalesceUpdates(ups []Update) []Update {
 		idx[up.Key] = len(out)
 		out = append(out, up)
 	}
+	clear(idx)
 	return out
 }
 
-func (s *Shard) grant(now int64, f *flowState, m *wire.Message) (Output, Update) {
+// CoalesceUpdates is a batch's per-flow coalescing outside any shard.
+func CoalesceUpdates(ups []Update) []Update {
+	return coalesce(ups, make(map[packet.FiveTuple]int, len(ups)))
+}
+
+func (s *Shard) grant(now int64, f *flowState, m *wire.Message, d *decision) {
 	newFlow := !f.exists
 	if f.owner != NoOwner && f.owner != m.SwitchID && f.leaseExpiry > now {
 		s.Stats.OverlappingGrants++
@@ -288,22 +321,21 @@ func (s *Shard) grant(now int64, f *flowState, m *wire.Message) (Output, Update)
 	f.owner = m.SwitchID
 	f.leaseExpiry = now + s.cfg.LeasePeriod.Nanoseconds()
 	s.Stats.LeaseGrants++
-	ack := &wire.Message{
-		Type: wire.MsgLeaseNewAck, Seq: f.lastSeq, Key: m.Key,
-		Vals:        append([]uint64(nil), f.vals...),
+	vals := d.vals(f.vals)
+	d.reply(wire.Message{
+		Type: wire.MsgLeaseNewAck, Seq: f.lastSeq, Key: m.Key, Vals: vals,
 		LeaseMillis: uint32(s.cfg.LeasePeriod.Milliseconds()),
 		NewFlow:     newFlow,
 		SwitchID:    m.SwitchID, StoreShard: m.StoreShard,
 		Piggyback: m.Piggyback,
-	}
-	up := Update{
-		Key: m.Key, Vals: ack.Vals, LastSeq: f.lastSeq,
+	})
+	d.ups = append(d.ups, Update{
+		Key: m.Key, Vals: vals, LastSeq: f.lastSeq,
 		Owner: f.owner, LeaseExpiry: f.leaseExpiry, Exists: true,
-	}
-	return Output{DstSwitch: m.SwitchID, Msg: ack}, up
+	})
 }
 
-func (s *Shard) processLeaseNew(now int64, m *wire.Message) ([]Output, []Update) {
+func (s *Shard) processLeaseNew(now int64, m *wire.Message, d *decision) {
 	f := s.flow(m.Key)
 	if !s.cfg.UnsafeNoRevoke &&
 		f.owner != NoOwner && f.owner != m.SwitchID && f.leaseExpiry > now {
@@ -315,12 +347,13 @@ func (s *Shard) processLeaseNew(now int64, m *wire.Message) ([]Output, []Update)
 		// Requests carrying distinct piggybacked packets are NOT
 		// duplicates: the queue is the network-side packet buffer of
 		// §5.1, and each entry releases one buffered packet at grant.
-		// The queue is bounded; excess requests are shed.
+		// The queue is bounded; excess requests are shed. What is queued
+		// is a copy: the caller reuses m once Decide returns.
 		for i, w := range f.waiting {
 			if w.SwitchID == m.SwitchID && samePiggyback(w.Piggyback, m.Piggyback) {
-				f.waiting[i] = m
+				f.waiting[i] = m.Clone()
 				s.Stats.WaitDeduped++
-				return nil, nil
+				return
 			}
 		}
 		max := s.cfg.MaxWaiting
@@ -329,14 +362,13 @@ func (s *Shard) processLeaseNew(now int64, m *wire.Message) ([]Output, []Update)
 		}
 		if len(f.waiting) >= max {
 			s.Stats.WaitShed++
-			return nil, nil
+			return
 		}
-		f.waiting = append(f.waiting, m)
+		f.waiting = append(f.waiting, m.Clone())
 		s.Stats.LeaseQueued++
-		return nil, nil
+		return
 	}
-	out, up := s.grant(now, f, m)
-	return []Output{out}, []Update{up}
+	s.grant(now, f, m, d)
 }
 
 // samePiggyback reports whether two lease requests buffer the same
@@ -349,39 +381,38 @@ func samePiggyback(a, b *packet.Packet) bool {
 	return a.Seq == b.Seq
 }
 
-func (s *Shard) processLeaseRenew(now int64, m *wire.Message) ([]Output, []Update) {
+func (s *Shard) processLeaseRenew(now int64, m *wire.Message, d *decision) {
 	f := s.flow(m.Key)
 	if f.owner != m.SwitchID {
 		// The requester no longer owns the flow (lease lapsed and moved,
 		// or never owned): tell it so it re-acquires via MsgLeaseNew.
-		return []Output{{DstSwitch: m.SwitchID, Msg: &wire.Message{
-			Type: wire.MsgLeaseReject, Key: m.Key, Seq: f.lastSeq,
-			SwitchID: m.SwitchID, StoreShard: m.StoreShard,
-		}}}, nil
+		d.reply(wire.Message{Type: wire.MsgLeaseReject, Key: m.Key, Seq: f.lastSeq,
+			SwitchID: m.SwitchID, StoreShard: m.StoreShard})
+		return
 	}
 	f.leaseExpiry = now + s.cfg.LeasePeriod.Nanoseconds()
 	s.Stats.LeaseRenewals++
-	ack := &wire.Message{
+	d.reply(wire.Message{
 		Type: wire.MsgLeaseRenewAck, Seq: f.lastSeq, Key: m.Key,
 		LeaseMillis: uint32(s.cfg.LeasePeriod.Milliseconds()),
 		SwitchID:    m.SwitchID, StoreShard: m.StoreShard,
-	}
-	up := Update{Key: m.Key, Vals: f.vals, LastSeq: f.lastSeq,
-		Owner: f.owner, LeaseExpiry: f.leaseExpiry, Exists: f.exists}
-	return []Output{{DstSwitch: m.SwitchID, Msg: ack}}, []Update{up}
+	})
+	d.ups = append(d.ups, Update{Key: m.Key, Vals: f.vals, LastSeq: f.lastSeq,
+		Owner: f.owner, LeaseExpiry: f.leaseExpiry, Exists: f.exists})
 }
 
-func (s *Shard) processRepl(now int64, m *wire.Message) ([]Output, []Update) {
+func (s *Shard) processRepl(now int64, m *wire.Message, d *decision) {
 	f := s.flow(m.Key)
 	if !s.cfg.UnsafeNoRevoke && (f.owner != m.SwitchID || f.leaseExpiry <= now) {
 		// Stale owner: reject so the switch re-leases. This is the
 		// §5.3 guard against two switches writing concurrently.
-		return []Output{{DstSwitch: m.SwitchID, Msg: &wire.Message{
-			Type: wire.MsgLeaseReject, Key: m.Key, Seq: f.lastSeq,
-			SwitchID: m.SwitchID, StoreShard: m.StoreShard,
-		}}}, nil
+		d.reply(wire.Message{Type: wire.MsgLeaseReject, Key: m.Key, Seq: f.lastSeq,
+			SwitchID: m.SwitchID, StoreShard: m.StoreShard})
+		return
 	}
-	if s.cfg.IgnoreSeq {
+	ackSeq := f.lastSeq
+	switch {
+	case s.cfg.IgnoreSeq:
 		// Ablation: apply in arrival order. A reordered older update
 		// overwrites a newer one — the inconsistency §5.2 exists to
 		// prevent.
@@ -395,13 +426,8 @@ func (s *Shard) processRepl(now int64, m *wire.Message) ([]Output, []Update) {
 		f.exists = true
 		f.leaseExpiry = now + s.cfg.LeasePeriod.Nanoseconds()
 		s.Stats.ReplApplied++
-		return []Output{{DstSwitch: m.SwitchID, Msg: &wire.Message{
-				Type: wire.MsgReplAck, Seq: m.Seq, Key: m.Key,
-				SwitchID: m.SwitchID, StoreShard: m.StoreShard, Piggyback: m.Piggyback,
-			}}}, []Update{{Key: m.Key, Vals: append([]uint64(nil), f.vals...),
-				LastSeq: f.lastSeq, Owner: f.owner, LeaseExpiry: f.leaseExpiry, Exists: true}}
-	}
-	if m.Seq <= f.lastSeq {
+		ackSeq = m.Seq
+	case m.Seq <= f.lastSeq:
 		// Duplicate or reordered-behind: already applied. Ack
 		// cumulatively; return the piggyback (if this copy still has
 		// one) so the output packet is not lost needlessly. The current
@@ -411,38 +437,32 @@ func (s *Shard) processRepl(now int64, m *wire.Message) ([]Output, []Update) {
 		// restores replica convergence and keeps the ack from being
 		// released while the chain is still broken.
 		s.Stats.ReplStale++
-		out := Output{DstSwitch: m.SwitchID, Msg: &wire.Message{
-			Type: wire.MsgReplAck, Seq: f.lastSeq, Key: m.Key,
-			SwitchID: m.SwitchID, StoreShard: m.StoreShard, Piggyback: m.Piggyback,
-		}}
-		up := Update{Key: m.Key, Vals: append([]uint64(nil), f.vals...),
-			LastSeq: f.lastSeq, Owner: f.owner, LeaseExpiry: f.leaseExpiry, Exists: f.exists}
-		return []Output{out}, []Update{up}
+	default:
+		// Newer than anything applied: commit it. Replication requests
+		// carry the flow's full state, so a gap means intervening updates
+		// were superseded — exactly Fig. 6b, where seq 1 arriving after
+		// seq 2 is "not committed". Acks are cumulative: they cover every
+		// lower sequence number, which also drains the switch's
+		// retransmission buffer for skipped updates.
+		if m.Seq > f.lastSeq+1 {
+			s.Stats.ReplGapSkips++
+		}
+		if len(f.vals) > 0 && len(m.Vals) > 0 && m.Vals[0] < f.vals[0] {
+			s.Stats.Regressions++
+		}
+		f.vals = append(f.vals[:0], m.Vals...)
+		f.lastSeq = m.Seq
+		f.exists = true
+		f.leaseExpiry = now + s.cfg.LeasePeriod.Nanoseconds() // writes renew (§5.3)
+		s.Stats.ReplApplied++
+		ackSeq = f.lastSeq
 	}
-	// Newer than anything applied: commit it. Replication requests carry
-	// the flow's full state, so a gap means intervening updates were
-	// superseded — exactly Fig. 6b, where seq 1 arriving after seq 2 is
-	// "not committed". Acks are cumulative: they cover every lower
-	// sequence number, which also drains the switch's retransmission
-	// buffer for skipped updates.
-	if m.Seq > f.lastSeq+1 {
-		s.Stats.ReplGapSkips++
-	}
-	if len(f.vals) > 0 && len(m.Vals) > 0 && m.Vals[0] < f.vals[0] {
-		s.Stats.Regressions++
-	}
-	f.vals = append(f.vals[:0], m.Vals...)
-	f.lastSeq = m.Seq
-	f.exists = true
-	f.leaseExpiry = now + s.cfg.LeasePeriod.Nanoseconds() // writes renew (§5.3)
-	s.Stats.ReplApplied++
-	out := Output{DstSwitch: m.SwitchID, Msg: &wire.Message{
-		Type: wire.MsgReplAck, Seq: f.lastSeq, Key: m.Key,
+	d.reply(wire.Message{
+		Type: wire.MsgReplAck, Seq: ackSeq, Key: m.Key,
 		SwitchID: m.SwitchID, StoreShard: m.StoreShard, Piggyback: m.Piggyback,
-	}}
-	up := Update{Key: m.Key, Vals: append([]uint64(nil), f.vals...),
-		LastSeq: f.lastSeq, Owner: f.owner, LeaseExpiry: f.leaseExpiry, Exists: true}
-	return []Output{out}, []Update{up}
+	})
+	d.ups = append(d.ups, Update{Key: m.Key, Vals: d.vals(f.vals),
+		LastSeq: f.lastSeq, Owner: f.owner, LeaseExpiry: f.leaseExpiry, Exists: f.exists})
 }
 
 // epochNewer reports whether snapshot epoch a is newer than b under
@@ -452,7 +472,7 @@ func (s *Shard) processRepl(now int64, m *wire.Message) ([]Output, []Update) {
 // bounded-inconsistency image forever after the wrap.
 func epochNewer(a, b uint32) bool { return int32(a-b) > 0 }
 
-func (s *Shard) processSnapshot(now int64, m *wire.Message) ([]Output, []Update) {
+func (s *Shard) processSnapshot(now int64, m *wire.Message, d *decision) {
 	f := s.flow(m.Key)
 	f.exists = true
 	if f.snapSlots == nil || epochNewer(m.Epoch, f.snapEpoch) {
@@ -461,8 +481,10 @@ func (s *Shard) processSnapshot(now int64, m *wire.Message) ([]Output, []Update)
 	}
 	if m.Epoch == f.snapEpoch {
 		for i, v := range m.Vals {
-			f.snapSlots[m.Slot+uint32(i)] = v
-			s.Stats.SnapshotSlots++
+			if slot := m.Slot + uint32(i); s.cfg.SnapshotSlots == 0 || slot < uint32(s.cfg.SnapshotSlots) {
+				f.snapSlots[slot] = v // a slot past the image is a malformed request's
+				s.Stats.SnapshotSlots++
+			}
 		}
 		if s.cfg.SnapshotSlots > 0 && len(f.snapSlots) == s.cfg.SnapshotSlots {
 			img := make([]uint64, s.cfg.SnapshotSlots)
@@ -474,26 +496,26 @@ func (s *Shard) processSnapshot(now int64, m *wire.Message) ([]Output, []Update)
 			s.Stats.SnapshotImages++
 		}
 	}
-	up := Update{Key: m.Key, HasSnap: true, SnapEpoch: m.Epoch, SnapSlot: m.Slot,
-		SnapVals: append([]uint64(nil), m.Vals...), Exists: true,
-		Owner: f.owner, LeaseExpiry: f.leaseExpiry}
-	ack := &wire.Message{
+	d.ups = append(d.ups, Update{Key: m.Key, HasSnap: true, SnapEpoch: m.Epoch, SnapSlot: m.Slot,
+		SnapVals: d.vals(m.Vals), Exists: true,
+		Owner: f.owner, LeaseExpiry: f.leaseExpiry})
+	d.reply(wire.Message{
 		Type: wire.MsgSnapshotAck, Seq: m.Seq, Key: m.Key, Slot: m.Slot, Epoch: m.Epoch,
 		SwitchID: m.SwitchID, StoreShard: m.StoreShard,
-	}
-	return []Output{{DstSwitch: m.SwitchID, Msg: ack}}, []Update{up}
+	})
 }
 
 // Flush grants queued lease requests whose blocking lease has expired. The
 // transport calls it when a wake timer fires (or periodically). It returns
-// outputs/updates exactly like Process.
+// outputs/updates like Process: fresh slices, one output and one update
+// per grant.
 //
 // Waiting flows are visited in sorted five-tuple order, never map order:
 // several flows' leases routinely expire inside one wake, and the grant
 // order decides the order of outputs, chain updates, and trace events —
 // iterating the map would make identical-seed runs diverge byte-for-byte
 // through any lease-buffering window.
-func (s *Shard) Flush(now int64) (outs []Output, ups []Update) {
+func (s *Shard) Flush(now int64) ([]Output, []Update) {
 	var keys []packet.FiveTuple
 	for k, f := range s.flows {
 		if len(f.waiting) > 0 {
@@ -501,19 +523,18 @@ func (s *Shard) Flush(now int64) (outs []Output, ups []Update) {
 		}
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
+	var d decision
 	for _, k := range keys {
 		f := s.flows[k]
 		for len(f.waiting) > 0 && (f.owner == NoOwner || f.leaseExpiry <= now ||
 			f.owner == f.waiting[0].SwitchID) {
 			m := f.waiting[0]
 			f.waiting = f.waiting[1:]
-			out, up := s.grant(now, f, m)
-			outs = append(outs, out)
-			ups = append(ups, up)
+			s.grant(now, f, m, &d)
 		}
 	}
-	s.logUps(ups)
-	return outs, ups
+	s.logUps(d.ups)
+	return d.outs, d.ups
 }
 
 // NextWake returns the earliest lease expiry that has a queued waiter, or

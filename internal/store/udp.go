@@ -202,6 +202,7 @@ func NewUDPServer(addr, nextAddr string, cfg Config, opts ...UDPOption) (*UDPSer
 		rx := &udpReceiver{
 			srv: s, idx: i, br: rbr,
 			slots:   make([]rxSlot, rxBatch),
+			group:   make([][][]byte, opt.Shards),
 			touched: make([]bool, opt.Shards),
 		}
 		for j := range rx.slots {
@@ -365,14 +366,13 @@ func (s *UDPServer) Serve() error {
 }
 
 // dgram is one routed unit of work handed from a receiver to a shard:
-// a switch's request (single-message or batch framing, with the batch's
-// members already decoded) or a predecessor's chain pack.
+// a switch's request (single-message or batch framing, undecoded) or a
+// predecessor's chain pack.
 type dgram struct {
-	base    *[]byte         // pooled backing buffer to recycle
-	payload []byte          // the datagram, a span of *base
-	msgs    []*wire.Message // decoded batch members; nil ⇒ payload is one message or a chain pack
-	origin  netip.AddrPort  // the datagram's source: the switch to acknowledge
-	chain   bool            // payload is a chain pack from the predecessor, not a switch's request
+	base    *[]byte        // pooled backing buffer to recycle
+	payload []byte         // the datagram, a span of *base
+	origin  netip.AddrPort // the datagram's source: the switch to acknowledge
+	chain   bool           // payload is a chain pack from the predecessor, not a switch's request
 }
 
 // udpReceiver drains the socket and routes datagrams to shard rings.
@@ -381,20 +381,12 @@ type udpReceiver struct {
 	idx    int
 	br     batchReader
 	slots  []rxSlot
-	group  []splitGroup // per-shard split-batch scratch
+	group  [][][]byte   // per-shard member frames of a spanning batch
 	frames [][]byte     // member-frame scratch (spans of the rx buffer)
+	check  wire.Message // a spanning batch's member, decoded to be checked
 
 	// touched marks the shards the current rx batch pushed work to.
 	touched []bool
-}
-
-// splitGroup collects one shard's members of a spanning batch: the
-// decoded messages (handed to the shard so it need not re-decode) and
-// their framed byte spans in the original datagram (concatenated under
-// a fresh batch header to form the shard's sub-batch — no re-marshal).
-type splitGroup struct {
-	msgs   []*wire.Message
-	frames [][]byte
 }
 
 func (r *udpReceiver) run(errCh chan<- error) {
@@ -433,35 +425,46 @@ func (r *udpReceiver) run(errCh chan<- error) {
 	}
 }
 
-// route hands one received datagram to its owning shard. Single-message
-// frames and chain packs are routed by a key peek and decoded by the
-// shard; batch frames are decoded here (splitting them requires it) and
-// re-framed per shard when their members span several. A chain pack is
-// never split: its sender built it from one shard's commits, and every
-// chain member runs the same shard count.
+// route hands one received datagram to its owning shard, which decodes
+// it. Single-message frames and chain packs are routed by a key peek, and
+// batch frames by a key peek of every member, re-framed per shard when
+// the members span several. A batch whose framing or any member's key is
+// malformed goes to no shard. A chain pack is never split: its sender
+// built it from one shard's commits, and every chain member runs the same
+// shard count.
 func (r *udpReceiver) route(sl *rxSlot) {
 	s := r.srv
 	payload := (*sl.buf)[:sl.n]
 	if wire.IsBatch(payload) {
-		var bt wire.Batch
-		if err := bt.Unmarshal(payload); err != nil {
+		frames, err := wire.MemberFrames(payload, r.frames[:0])
+		r.frames = frames[:0]
+		target, same := 0, true
+		for i := 0; err == nil && i < len(frames); i++ {
+			key, ok := wire.PeekKey(frames[i][2:]) // past the length prefix
+			if si := s.shardFor(key); !ok {
+				err = errors.New("member too short to route")
+			} else if i == 0 {
+				target = si
+			} else if si != target {
+				same = false
+			}
+		}
+		// The shards of a spanning batch decode their parts apart: its
+		// members are decoded once here, so it is still applied whole or
+		// not at all.
+		for i := 0; err == nil && !same && i < len(frames); i++ {
+			err = r.check.Unmarshal(frames[i][2:])
+		}
+		if err != nil {
 			s.badDgrams.Inc()
 			log.Printf("store: bad batch from %v: %v", sl.addr, err)
 			return
 		}
-		if len(bt.Msgs) == 0 {
+		if len(frames) == 0 {
 			return
 		}
-		target := s.shardFor(bt.Msgs[0].Key)
-		same := true
-		for _, m := range bt.Msgs[1:] {
-			if s.shardFor(m.Key) != target {
-				same = false
-				break
-			}
-		}
 		if same {
-			r.deliver(target, dgram{base: sl.buf, payload: payload, msgs: bt.Msgs, origin: sl.addr})
+			r.deliver(target, dgram{base: sl.buf, payload: payload, origin: sl.addr})
 			sl.buf = s.getBuf() // ownership moved to the ring
 			return
 		}
@@ -469,33 +472,17 @@ func (r *udpReceiver) route(sl *rxSlot) {
 		// assembled by copying the members' framed byte ranges out of
 		// the original datagram — the messages are never re-marshaled.
 		// The original slot buffer stays with the receiver.
-		frames, err := wire.MemberFrames(payload, r.frames[:0])
-		r.frames = frames[:0]
-		if err != nil {
-			// Unreachable after a successful Unmarshal of the same bytes.
-			s.badDgrams.Inc()
-			return
+		for _, f := range frames {
+			key, _ := wire.PeekKey(f[2:])
+			si := s.shardFor(key)
+			r.group[si] = append(r.group[si], f)
 		}
-		if r.group == nil {
-			r.group = make([]splitGroup, len(s.shards))
-		}
-		for i, m := range bt.Msgs {
-			si := s.shardFor(m.Key)
-			g := &r.group[si]
-			g.msgs = append(g.msgs, m)
-			g.frames = append(g.frames, frames[i])
-		}
-		for si := range r.group {
-			g := &r.group[si]
-			if len(g.msgs) == 0 {
-				continue
+		for si, g := range r.group {
+			if len(g) > 0 {
+				nb := s.getBuf()
+				r.deliver(si, dgram{base: nb, payload: wire.AppendBatchFrames((*nb)[:0], g...), origin: sl.addr})
+				r.group[si] = g[:0]
 			}
-			nb := s.getBuf()
-			pb := wire.AppendBatchFrames((*nb)[:0], g.frames...)
-			r.deliver(si, dgram{base: nb, payload: pb, msgs: g.msgs, origin: sl.addr})
-			// The msgs slice moved to the shard; the frame spans die with
-			// this datagram and their backing array is reused.
-			g.msgs, g.frames = nil, g.frames[:0]
 		}
 		return
 	}
@@ -664,11 +651,11 @@ func decodeChainPack(b []byte, ups []Update, arena *[]uint64) ([]Update, int, er
 	return ups, entries, nil
 }
 
-// pendingReply is an acknowledgment datagram held until the covering
-// group commit.
+// pendingReply is an acknowledgment datagram, marshaled into the shard's
+// acked, held until the covering group commit.
 type pendingReply struct {
-	outs []Output
-	to   netip.AddrPort
+	ack []byte
+	to  netip.AddrPort
 }
 
 // pendingRelay is a chain pack — built here from this group's commits, or
@@ -697,15 +684,16 @@ type udpShard struct {
 	tx    *txBatcher
 
 	pendingOut   []pendingReply
-	pendingRelay []pendingRelay   // sealed packs
-	open         pendingRelay     // the pack this group's commits are joining (base nil: none)
-	entry        []byte           // hold's entry scratch
-	ups          []Update         // applyChain's decode scratch
-	vals         []uint64         // and the arena its updates' values live in
-	one          [1]*wire.Message // handle's one-message batch
-	runs         []ackRun         // commit's acknowledgment datagrams, one open per requester
-	acked        []byte           // commit's replies, marshaled (a span stays valid if append moves it)
-	split        [][]byte         // queueAck's member-frame scratch
+	pendingRelay []pendingRelay  // sealed packs
+	open         pendingRelay    // the pack this group's commits are joining (base nil: none)
+	entry        []byte          // hold's entry scratch
+	reqs         []*wire.Message // the shard's own messages a request datagram decodes into
+	outs         []Output        // handle's decision scratch, reused per datagram
+	ups          []Update        // and handle's or applyChain's updates,
+	vals         []uint64        // and the arena their values live in
+	runs         []ackRun        // commit's acknowledgment datagrams, one open per requester
+	acked        []byte          // the group's replies, marshaled (a span stays valid if append moves it)
+	split        [][]byte        // decode's and queueAck's member-frame scratch
 
 	queueDepth  *obs.Gauge
 	dgrams      *obs.Counter
@@ -780,25 +768,22 @@ func (sh *udpShard) handle(d dgram) {
 		return
 	}
 	// Nothing Unmarshal returns aliases the rx buffer, and a commit is
-	// encoded into the shard's own pack: the buffer goes back at once.
+	// encoded into the shard's own pack or acked: the buffer goes back at
+	// once.
 	defer sh.srv.putBuf(d.base)
-	msgs := d.msgs
-	if msgs == nil {
-		m := new(wire.Message)
-		if err := m.Unmarshal(d.payload); err != nil {
-			sh.srv.badDgrams.Inc()
-			log.Printf("store: bad datagram from %v: %v", d.origin, err)
-			return
-		}
-		if m.Type == wire.MsgHello {
-			// Deployment handshake: answer immediately with topology
-			// facts; never touches flow state or the WAL.
-			sh.dgrams.Inc()
-			sh.hold(d.origin, nil, []Output{{Msg: sh.srv.helloAck(m)}})
-			return
-		}
-		sh.one[0] = m
-		msgs = sh.one[:]
+	msgs, err := sh.decode(d.payload)
+	if err != nil {
+		sh.srv.badDgrams.Inc()
+		log.Printf("store: bad datagram from %v: %v", d.origin, err)
+		return
+	}
+	if !wire.IsBatch(d.payload) && msgs[0].Type == wire.MsgHello {
+		// Deployment handshake: answer immediately with topology
+		// facts; never touches flow state or the WAL.
+		sh.dgrams.Inc()
+		sh.outs = append(sh.outs[:0], Output{Msg: sh.srv.helloAck(msgs[0])})
+		sh.hold(d.origin, nil, sh.outs)
+		return
 	}
 	if sh.srv.misrouted(msgs...) {
 		return
@@ -813,19 +798,47 @@ func (sh *udpShard) handle(d dgram) {
 	for _, m := range msgs {
 		sh.addrs[m.SwitchID] = d.origin
 	}
-	outs, ups := sh.sh.ProcessBatch(time.Now().UnixNano(), msgs)
+	sh.vals = sh.vals[:0]
+	sh.outs, sh.ups = sh.sh.Decide(time.Now().UnixNano(), msgs, sh.outs[:0], sh.ups[:0], &sh.vals)
 	sh.dgrams.Inc()
-	sh.hold(d.origin, ups, outs)
+	sh.hold(d.origin, sh.ups, sh.outs)
+}
+
+// decode decodes a request datagram, plain or batch, into the shard's own
+// messages: all of them before any is decided, so a datagram is decided
+// whole or not at all.
+func (sh *udpShard) decode(b []byte) ([]*wire.Message, error) {
+	frames, off := append(sh.split[:0], b), 0
+	if wire.IsBatch(b) {
+		var err error
+		if frames, err = wire.MemberFrames(b, frames[:0]); err != nil {
+			return nil, err
+		}
+		off = 2 // past each member's length prefix
+	}
+	sh.split = frames
+	for len(sh.reqs) < len(frames) {
+		sh.reqs = append(sh.reqs, new(wire.Message))
+	}
+	for i, f := range frames {
+		if err := sh.reqs[i].Unmarshal(f[off:]); err != nil {
+			return nil, err
+		}
+	}
+	return sh.reqs[:len(frames)], nil
 }
 
 // hold stages one commit of this replica for the group commit: with a
 // successor and something to replicate, as an entry of the open chain
 // pack — sealed first if the entry would take it past chainPackBytes —
-// otherwise as a reply from here.
+// otherwise as a reply from here. Either way it is marshaled now: nothing
+// held refers to ups or outs.
 func (sh *udpShard) hold(origin netip.AddrPort, ups []Update, outs []Output) {
 	if len(ups) == 0 || sh.srv.next.Load() == nil {
 		if len(outs) > 0 && origin.IsValid() {
-			sh.pendingOut = append(sh.pendingOut, pendingReply{outs: outs, to: origin})
+			at := len(sh.acked)
+			sh.acked = appendAcks(sh.acked, outs)
+			sh.pendingOut = append(sh.pendingOut, pendingReply{ack: sh.acked[at:], to: origin})
 		}
 		return
 	}
@@ -917,14 +930,12 @@ func (sh *udpShard) commit() {
 		sh.stagePack(&sh.pendingRelay[i])
 	}
 	for _, po := range sh.pendingOut {
-		at := len(sh.acked)
-		sh.acked = appendAcks(sh.acked, po.outs)
-		sh.queueAck(po.to, sh.acked[at:])
+		sh.queueAck(po.to, po.ack)
 	}
 	for i := range sh.runs {
 		sh.stageRun(&sh.runs[i])
 	}
-	sh.runs, sh.acked = sh.runs[:0], sh.acked[:0]
+	sh.runs = sh.runs[:0]
 	sh.dropPending() // staging copied the bytes; recycle the holds
 	sh.sent(sh.tx.flush())
 }
@@ -937,7 +948,7 @@ func (sh *udpShard) dropPending() {
 	}
 	clear(sh.pendingRelay)
 	clear(sh.pendingOut)
-	sh.pendingRelay, sh.pendingOut = sh.pendingRelay[:0], sh.pendingOut[:0]
+	sh.pendingRelay, sh.pendingOut, sh.acked = sh.pendingRelay[:0], sh.pendingOut[:0], sh.acked[:0]
 }
 
 // stagePack sends a committed pack onward: to the successor, stamped with
@@ -1045,9 +1056,9 @@ func appendAcks(b []byte, outs []Output) []byte {
 		return outs[0].Msg.Marshal(b)
 	}
 	b = wire.AppendBatchHeader(b, len(outs))
-	for _, o := range outs {
+	for i := range outs {
 		at := len(b)
-		b = o.Msg.Marshal(append(b, 0, 0))
+		b = outs[i].Msg.Marshal(append(b, 0, 0))
 		binary.BigEndian.PutUint16(b[at:], uint16(len(b)-at-2))
 	}
 	return b

@@ -210,7 +210,7 @@ func TestUDPChainFrameOvertaken(t *testing.T) {
 		{Key: key, Vals: []uint64{50}, LastSeq: 5, Owner: 1, LeaseExpiry: lease - 1, Exists: true}, // overtaken write
 		{Key: key, Vals: []uint64{60}, LastSeq: 6, Owner: 9, LeaseExpiry: lease - 1, Exists: true}, // overtaken grant
 	} {
-		ack := []Output{{DstSwitch: 1, Msg: &wire.Message{Type: wire.MsgReplAck, Seq: up.LastSeq, Key: key, SwitchID: 1}}}
+		ack := []Output{{DstSwitch: 1, Msg: wire.Message{Type: wire.MsgReplAck, Seq: up.LastSeq, Key: key, SwitchID: 1}}}
 		frame := chainPack(localAddrPort(conn), []Update{up}, ack)
 		if _, err := conn.WriteToUDP(frame, srv.Addr().(*net.UDPAddr)); err != nil {
 			t.Fatal(err)
@@ -597,7 +597,7 @@ func TestAppendAcksNoAllocs(t *testing.T) {
 		k := udpKey()
 		k.SrcPort = uint16(i)
 		m := &wire.Message{Type: wire.MsgReplAck, Seq: uint64(i), Key: k, SwitchID: 1, Vals: make([]uint64, i%3)}
-		outs, bt.Msgs = append(outs, Output{DstSwitch: 1, Msg: m}), append(bt.Msgs, m)
+		outs, bt.Msgs = append(outs, Output{DstSwitch: 1, Msg: *m}), append(bt.Msgs, m)
 	}
 	if got, want := appendAcks(nil, outs[:1]), outs[0].Msg.Marshal(nil); !bytes.Equal(got, want) {
 		t.Errorf("one ack framed as %x, want the plain frame %x", got, want)
@@ -638,7 +638,7 @@ func chainFrameCases(requester netip.AddrPort) (cases []chainFrameCase, keys [3]
 		return []Update{{Key: k, Vals: []uint64{5, 6}, LastSeq: 3, Owner: 1, LeaseExpiry: 1 << 60, Exists: true}}
 	}
 	ack := func(k packet.FiveTuple) []Output {
-		return []Output{{DstSwitch: 1, Msg: &wire.Message{Type: wire.MsgReplAck, Seq: 3, Key: k, SwitchID: 1}}}
+		return []Output{{DstSwitch: 1, Msg: wire.Message{Type: wire.MsgReplAck, Seq: 3, Key: k, SwitchID: 1}}}
 	}
 	one := chainPack(requester, up(keys[0]), ack(keys[0]))
 	two := appendChainEntry(append([]byte(nil), one...), requester, up(keys[2]), ack(keys[2]))
@@ -747,7 +747,7 @@ func TestChainFrameRequesterRoundTrip(t *testing.T) {
 		if s != "" {
 			want = netip.MustParseAddrPort(s)
 		}
-		outs := []Output{{Msg: &wire.Message{Type: wire.MsgReplAck, Seq: 1, Key: udpKey()}}}
+		outs := []Output{{Msg: wire.Message{Type: wire.MsgReplAck, Seq: 1, Key: udpKey()}}}
 		e, rest, err := nextChainEntry(chainPack(want, []Update{{Key: udpKey(), Exists: true}}, outs)[chainPackHdr:])
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("requester %q: %d bytes after the entry (%v)", s, len(rest), err)
@@ -816,9 +816,9 @@ func FuzzChainFrame(f *testing.F) {
 	// every fifth entry's a batch of two.
 	many := []byte{chainMagic, 0, 0, 0, 0, 0, 0, 0, 0}
 	for seq := uint64(1); seq <= 40; seq++ {
-		acks := []Output{{Msg: &wire.Message{Type: wire.MsgReplAck, Seq: seq, Key: keys[0], SwitchID: 1}}}
+		acks := []Output{{Msg: wire.Message{Type: wire.MsgReplAck, Seq: seq, Key: keys[0], SwitchID: 1}}}
 		if seq%5 == 0 {
-			acks = append(acks, Output{Msg: &wire.Message{Type: wire.MsgReplAck, Seq: seq, Key: keys[2], SwitchID: 1}})
+			acks = append(acks, Output{Msg: wire.Message{Type: wire.MsgReplAck, Seq: seq, Key: keys[2], SwitchID: 1}})
 		}
 		many = appendChainEntry(many, requester, []Update{{Key: keys[0], LastSeq: seq, Exists: true}}, acks)
 	}

@@ -84,14 +84,14 @@ func (s *UDPServer) misrouted(msgs ...*wire.Message) bool {
 
 // helloAck builds the MsgHello reply. Vals layout (see HelloInfo):
 // [shards, hasNext, relaySeen, chainPos+1, view].
-func (s *UDPServer) helloAck(m *wire.Message) *wire.Message {
+func (s *UDPServer) helloAck(m *wire.Message) wire.Message {
 	b := func(v bool) uint64 {
 		if v {
 			return 1
 		}
 		return 0
 	}
-	return &wire.Message{
+	return wire.Message{
 		Type: wire.MsgHelloAck, Seq: m.Seq, Key: m.Key, SwitchID: m.SwitchID,
 		Vals: []uint64{
 			uint64(len(s.shards)),

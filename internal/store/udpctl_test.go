@@ -112,7 +112,7 @@ func TestUDPHeadDropsChainPacks(t *testing.T) {
 	for seq, pos := range []int{0, -1, 2} {
 		srv.SetChainPos(pos)
 		up := Update{Key: udpKey(), Vals: []uint64{7}, LastSeq: uint64(seq + 1), Owner: 1, LeaseExpiry: 1 << 60, Exists: true}
-		ack := []Output{{DstSwitch: 1, Msg: &wire.Message{Type: wire.MsgReplAck, Seq: up.LastSeq, Key: up.Key, SwitchID: 1}}}
+		ack := []Output{{DstSwitch: 1, Msg: wire.Message{Type: wire.MsgReplAck, Seq: up.LastSeq, Key: up.Key, SwitchID: 1}}}
 		drops := srv.misrouteDrops.Value()
 		if _, err := conn.WriteToUDP(chainPack(localAddrPort(conn), []Update{up}, ack), srv.Addr().(*net.UDPAddr)); err != nil {
 			t.Fatal(err)

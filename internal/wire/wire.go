@@ -270,8 +270,10 @@ func (m *Message) Marshal(b []byte) []byte {
 	return b
 }
 
-// Unmarshal decodes a message from b (the UDP payload).
+// Unmarshal decodes a message from b (the UDP payload) into m, reusing
+// m.Vals's backing array when it holds the values: they are overwritten.
 func (m *Message) Unmarshal(b []byte) error {
+	vals := m.Vals[:0]
 	*m = Message{}
 	if len(b) < headerLen {
 		return errBadMessage
@@ -295,11 +297,12 @@ func (m *Message) Unmarshal(b []byte) error {
 	if len(b) < 8*nvals {
 		return errBadMessage
 	}
-	if nvals > 0 {
-		m.Vals = make([]uint64, nvals)
-		for i := range m.Vals {
-			m.Vals[i] = binary.BigEndian.Uint64(b[8*i : 8*i+8])
-		}
+	if cap(vals) < nvals {
+		vals = make([]uint64, nvals) // exactly: growing by append costs a batch's decode
+	}
+	m.Vals = vals[:nvals] // nil only if it was
+	for i := range m.Vals {
+		m.Vals[i] = binary.BigEndian.Uint64(b[8*i : 8*i+8])
 	}
 	b = b[8*nvals:]
 	if flags&flagPiggyback != 0 {

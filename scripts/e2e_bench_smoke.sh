@@ -13,6 +13,12 @@
 # commit path (Go's netpoller rounds an idle-P timer to ~1 ms) drags it
 # to ~0.28.
 #
+# The volatile run also gates allocations: its allocs_per_write must stay
+# below 0.01. Allocation counts repeat exactly from run to run, so this
+# holds on any host: 0.0011 with the head decoding into reused messages
+# and deciding into per-shard scratch, 6.0 when every write allocated its
+# decoded message, acknowledgment and update.
+#
 # A third, traced chain3-pkt run gives a second host-independent ratio:
 # the CPU one more replica costs a write (udp.hop_cpu_us) must be at most
 # 0.15 of the CPU of the whole write (cpu_us_per_write) — 0.10 with a
@@ -47,6 +53,14 @@ run() {
 echo "== chain3-pkt (volatile) =="
 vol=$(run chain3-pkt)
 echo "goodput_wps $vol"
+allocs=$(tail -n 1 "$out/report" | sed -n 's/.*"allocs_per_write":{"value":\([0-9.e+-]*\).*/\1/p')
+awk -v a="$allocs" 'BEGIN {
+    printf "allocs_per_write %s (ceiling 0.01)\n", a
+    exit !(a != "" && a < 0.01)
+}' || {
+    echo "FAIL: the real-UDP path allocates per write again — is a request, acknowledgment or update no longer decoded into reused memory?" >&2
+    exit 1
+}
 echo "== chain3-wal-pkt (WAL per replica) =="
 wal=$(run chain3-wal-pkt)
 echo "goodput_wps $wal"
